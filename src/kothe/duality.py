@@ -345,8 +345,8 @@ def verify_sandwich(
         lower = luxemburg_norm(space, y, hspec.conjugate(), tol=tol)
         value = amemiya_dual_norm(space, y, hspec, tol=tol)
     elif isinstance(hspec, RiskMeasureSpec):
-        lower = penalty_gauge(space, hspec, y, seed=seed, tol=tol)
-        _, value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed, tol=tol)
+        lower = penalty_gauge(space, hspec, y, seed=seed)
+        _, value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed)
     elif isinstance(hspec, GenOrliczNorm):
         res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner, seed=seed, tol=tol)
         lower, value = res.max_form, res.value

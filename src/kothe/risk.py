@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from ._optim import ConvergenceError, bisect_gauge, minimize_scalar_convex
+from .rearrange import _sorted_prefix, _tail_min
 from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space
 
 __all__ = [
@@ -85,18 +85,6 @@ def custom_risk(
     )
 
 
-def _avar_arr(probs: np.ndarray, x: np.ndarray, t: float) -> float:
-    """min over s in the values of x of s + E[x - s]^+ / t.
-
-    The objective is piecewise linear convex with kinks at the values of x,
-    and its slope is nonnegative past the largest value, so the candidate
-    grid of distinct values contains a minimizer.
-    """
-    candidates = np.unique(x)
-    excess = np.clip(x[None, :] - candidates[:, None], 0.0, None)
-    return float((candidates + (excess @ probs) / t).min())
-
-
 def _entropic_arr(probs: np.ndarray, x: np.ndarray, theta: float) -> float:
     m = float(np.max(theta * x))
     return (m + math.log(float(np.dot(probs, np.exp(theta * x - m))))) / theta
@@ -104,7 +92,8 @@ def _entropic_arr(probs: np.ndarray, x: np.ndarray, theta: float) -> float:
 
 def _risk_arr(space: FiniteProbSpace, rho: RiskMeasureSpec, x: np.ndarray) -> float:
     if rho.kind == "avar":
-        return _avar_arr(space.probs, x, rho.level)
+        # min over s of s + E[x - s]^+ / t, the Rockafellar-Uryasev form
+        return _tail_min(space.probs, x, rho.level) / rho.level
     if rho.kind == "entropic":
         return _entropic_arr(space.probs, x, rho.theta)
     assert rho.fn is not None
@@ -214,12 +203,6 @@ class PenaltyResult:
     maximizer: np.ndarray | None = None
 
 
-@lru_cache(maxsize=8)
-def _subset_matrix(n: int) -> np.ndarray:
-    masks = np.arange(1, 2**n, dtype=np.uint32)
-    return ((masks[:, None] >> np.arange(n)) & 1).astype(float)
-
-
 def _penalty_value(space: FiniteProbSpace, rho: RiskMeasureSpec, xi: np.ndarray, z: np.ndarray) -> float:
     return float(np.dot(space.probs, xi * z)) - _risk_arr(space, rho, xi)
 
@@ -237,17 +220,19 @@ def penalty(
     y: Rv,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> PenaltyResult:
     """sup over nonnegative bounded xi of E[xi*y] - rho(xi), for y >= 0.
 
-    For avar the candidate grid is built on scaled subset indicators: the
-    objective is concave, positively homogeneous and linear on every
-    arrangement cone, so a positive direction exists iff some indicator gives
-    one (the avar values of indicators form a polymatroid bound).  Growth
-    along the doubled ray certifies an infinite supremum.  The entropic case
-    is a smooth concave maximization, solved by projected gradient ascent; it
-    is unbounded exactly when E[y] > 1, along the constants ray.
+    For avar the objective is concave, positively homogeneous and linear on
+    every arrangement cone, so it is 0 or inf, and it is inf iff some
+    indicator gives E[y 1_A] > avar(1_A) = min(P(A), t) / t.  The largest
+    excess lies on a top-k set of y (for P(A) >= t at A = everything, for
+    P(A) <= t on {y > 1/t} unless that set outweighs t), so one sorted
+    prefix scan over y finds it exactly.  Growth along the doubled ray
+    certifies an infinite supremum.  The entropic case is a smooth concave
+    maximization, solved by projected gradient ascent; it is unbounded
+    exactly when E[y] > 1, along the constants ray.  A custom rho is
+    searched over indicators and random directions drawn from ``seed``.
     """
     _check_on_space(space, y, "y")
     z = y.values
@@ -265,41 +250,33 @@ def penalty(
         return _penalty_entropic(space, rho.theta, z)
 
     n = space.n_atoms
-    rng = np.random.default_rng(seed)
     threshold = 1e-11 * max(scale, 1.0)
-    best_val, best_xi = 0.0, None
+    if rho.kind == "avar":
+        order, mass, sums = _sorted_prefix(space.probs, z)
+        viol = sums - np.minimum(mass, rho.level) / rho.level
+        k = int(np.argmax(viol))
+        xi = np.zeros(n)
+        xi[order[: k + 1]] = 1.0
+        if viol[k] > threshold and _confirm_ray(space, rho, xi, z):
+            return PenaltyResult(_INF, False, xi)
+        return PenaltyResult(max(float(viol[k]), 0.0), True, None, xi)
 
+    rng = np.random.default_rng(seed)
+    best_val, best_xi = 0.0, None
     # indicator directions are checked first: they span the growth cone for
     # tail-mean measures and give the cleanest certificates
-    if rho.kind == "avar" and n <= 16:
-        m = _subset_matrix(n)
-        sums = m @ (space.probs * z)
-        bound = np.minimum(m @ space.probs, rho.level) / rho.level
-        viol = sums - bound
-        k = int(np.argmax(viol))
-        if viol[k] > threshold and _confirm_ray(space, rho, m[k], z):
-            return PenaltyResult(_INF, False, m[k])
-        best_val, best_xi = max(float(viol[k]), 0.0), m[k]
-    else:
-        indicators: list[np.ndarray] = []
-        order = np.argsort(-z)
-        for j in range(1, n + 1):
-            xi = np.zeros(n)
-            xi[order[:j]] = 1.0
-            indicators.append(xi)
-        for _ in range(128):
-            indicators.append((rng.random(n) < 0.5).astype(float))
-        for xi in indicators:
-            v = _penalty_value(space, rho, xi, z)
-            if v > best_val:
-                best_val, best_xi = v, xi
-            if v > threshold and _confirm_ray(space, rho, xi, z):
-                return PenaltyResult(_INF, False, xi)
-
-    extras: list[np.ndarray] = [z / scale]
+    candidates: list[np.ndarray] = []
+    order = np.argsort(-z)
+    for j in range(1, n + 1):
+        xi = np.zeros(n)
+        xi[order[:j]] = 1.0
+        candidates.append(xi)
+    for _ in range(128):
+        candidates.append((rng.random(n) < 0.5).astype(float))
+    candidates.append(z / scale)
     for _ in range(32):
-        extras.append(np.abs(rng.standard_normal(n)))
-    for xi in extras:
+        candidates.append(np.abs(rng.standard_normal(n)))
+    for xi in candidates:
         v = _penalty_value(space, rho, xi, z)
         if v > best_val:
             best_val, best_xi = v, xi
@@ -376,7 +353,6 @@ def penalty_gauge(
     y: Rv,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """inf{beta > 0 : penalty(|y|/beta) <= 1}."""
     _check_on_space(space, y, "y")
@@ -386,34 +362,26 @@ def penalty_gauge(
     hi0 = max(float(np.dot(space.probs, z)), float(z.max()), 1e-12)
 
     def pred(beta: float) -> bool:
-        return penalty(space, rho, Rv(z / beta), seed=seed, tol=tol).value <= 1.0
+        return penalty(space, rho, Rv(z / beta), seed=seed).value <= 1.0
 
     return bisect_gauge(pred, hi0=hi0, rel_tol=1e-11)
 
 
 def _avar_dual_gauge_exact(probs: np.ndarray, z: np.ndarray, t: float) -> float:
-    """Exact dual norm against the tail-mean norm on up to 16 atoms.
+    """Exact dual norm against the tail-mean norm.
 
     The penalty of a positively homogeneous measure is 0 or inf, so the
     infimal dual form reduces to the feasibility gauge, and feasibility is a
-    finite family of subset bounds (the same polymatroid bounds the penalty
-    candidates use):  beta >= t * sum_A p|z| / min(P(A), t) for every A.
+    finite family of set bounds (the same ones the avar penalty scans):
+    beta >= t * E[|z| 1_A] / min(P(A), t) for every atom set A.  The ratio
+    is at most E|z| when P(A) >= t and t * max|z| when P(A) <= t, and top-k
+    sets of |z| attain both, so one sorted prefix scan gives the maximum.
     """
     z = np.abs(z)
     if not np.any(z > 0.0):
         return 0.0
-    n = probs.size
-    if n <= 16:
-        m = _subset_matrix(n)
-        sums = m @ (probs * z)
-        bound = np.minimum(m @ probs, t) / t
-        return float(np.max(sums / bound))
-    order = np.argsort(-z)
-    ps = probs[order]
-    zs = z[order]
-    sums = np.cumsum(ps * zs)
-    bound = np.minimum(np.cumsum(ps), t) / t
-    return float(np.max(sums / bound))
+    _, mass, sums = _sorted_prefix(probs, z)
+    return float(np.max(sums / (np.minimum(mass, t) / t)))
 
 
 def _entropic_alpha_exact(probs: np.ndarray, z: np.ndarray, theta: float) -> float:
@@ -476,14 +444,13 @@ def _dual_inf_form(
     z: np.ndarray,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """(beta, value) minimizing beta * penalty(z/beta) + beta over beta > 0."""
     if not np.any(z > 0.0):
         return 0.0, 0.0
 
     def objective(beta: float) -> float:
-        res = penalty(space, rho, Rv(z / beta), seed=seed, tol=tol)
+        res = penalty(space, rho, Rv(z / beta), seed=seed)
         return beta * res.value + beta if res.bounded else _INF
 
     x0 = max(float(np.dot(space.probs, z)), 1e-12)
@@ -519,7 +486,7 @@ def risk_dual_norm(
     z = np.abs(y.values)
     if not np.any(z > 0.0):
         return RiskDualResult(0.0, 0.0, 0.0, 0.0)
-    beta, value = _dual_inf_form(space, rho, z, seed=seed, tol=tol)
+    beta, value = _dual_inf_form(space, rho, z, seed=seed)
 
     from .duality import polar  # deferred: duality builds on this module
     from .norms import RiskNorm

@@ -2,13 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from kothe import (
     FiniteProbSpace,
     Rv,
     StepFunction,
+    avar,
     cvar_infimum,
     distribution_fn,
+    evaluate_risk,
     expectation,
     hardy_littlewood_sup,
     indicator,
@@ -16,6 +19,7 @@ from kothe import (
     quantile,
     quantile_integral,
 )
+from tail_cases import tail_cases
 
 UNIFORM4 = FiniteProbSpace.uniform(4)
 U4132 = Rv([4.0, 1.0, 3.0, 2.0])
@@ -91,6 +95,38 @@ def test_cvar_identity_randomized():
         for t in grid:
             worst = max(worst, abs(quantile_integral(q, t) - cvar_infimum(space, u, t)))
     assert worst <= 1e-10
+
+
+def _cvar_grid_oracle(probs: np.ndarray, a: np.ndarray, t: float) -> float:
+    """Brute force: t*s + E[a - s]^+ on the n x n grid of candidates {0} and the values of a."""
+    candidates = np.concatenate([[0.0], np.unique(a)])
+    excess = np.clip(a[None, :] - candidates[:, None], 0.0, None)
+    return float((t * candidates + excess @ probs).min())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_cases())
+def test_cvar_matches_grid_oracle(case):
+    space, x, t = case
+    want = _cvar_grid_oracle(space.probs, np.abs(x), t)
+    assert cvar_infimum(space, Rv(x), t) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_tail_functionals_at_a_million_atoms():
+    # the n x n candidate grid would need about 8 TB here
+    rng = np.random.default_rng(26)
+    n = 10**6
+    space = FiniteProbSpace(rng.dirichlet(np.ones(n)))
+    x = rng.standard_normal(n)
+
+    def tail_integral(a: np.ndarray, t: float) -> float:
+        order = np.argsort(-a, kind="stable")
+        w = space.probs[order]
+        return float(np.dot(a[order], np.clip(t - (np.cumsum(w) - w), 0.0, w)))
+
+    for t in (1e-6, 0.05, 0.7, 1.0):
+        assert abs(cvar_infimum(space, Rv(x), t) - tail_integral(np.abs(x), t)) <= 1e-10
+        assert abs(evaluate_risk(space, avar(t), Rv(x)) - tail_integral(x, t) / t) <= 1e-10
 
 
 def test_hardy_littlewood_examples():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kothe import (
     FiniteProbSpace,
@@ -21,6 +23,8 @@ from kothe import (
     risk_norm,
     verify_sandwich,
 )
+from kothe.risk import dual_gauge_exact
+from tail_cases import tail_cases
 
 UNIFORM4 = FiniteProbSpace.uniform(4)
 U4132 = Rv([4.0, 1.0, 3.0, 2.0])
@@ -178,3 +182,55 @@ def test_penalty_gauge_scaling():
     g1 = penalty_gauge(UNIFORM4, avar(0.5), y)
     g2 = penalty_gauge(UNIFORM4, avar(0.5), Rv(3.0 * y.values))
     assert g2 == pytest.approx(3.0 * g1, rel=1e-8)
+
+
+def _subset_oracle(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Brute force over all 2^n - 1 nonempty atom sets A: E[z 1_A] and avar_t(1_A)."""
+    n = probs.size
+    masks = ((np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1).astype(float)
+    return masks @ (probs * z), np.minimum(masks @ probs, t) / t
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_cases())
+def test_avar_matches_grid_oracle(case):
+    space, x, t = case
+    # min over s in the values of x of t*s + E[x - s]^+, on the n x n grid
+    s = np.unique(x)
+    excess = np.clip(x[None, :] - s[:, None], 0.0, None)
+    want = float((t * s + excess @ space.probs).min())
+    got = evaluate_risk(space, avar(t), Rv(x)) * t
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_cases(), st.floats(0.05, 3.0))
+def test_avar_penalty_and_dual_gauge_match_subset_enumeration(case, scale):
+    space, x, t = case
+    z = np.abs(x) * scale
+    sums, bound = _subset_oracle(space.probs, z, t)
+    if z.max() > 0.0:
+        want = float((sums / bound).max())
+        assert dual_gauge_exact(space, avar(t), z) == pytest.approx(want, rel=1e-13)
+    worst = float((sums - bound).max())
+    threshold = 1e-11 * max(float(z.max()), 1.0)
+    res = penalty(space, avar(t), Rv(z))
+    if abs(worst - threshold) < 1e-13:
+        return  # the verdict is decided by rounding
+    assert res.bounded == (worst <= threshold)
+    if res.bounded:
+        assert res.ray is None
+        assert res.value == pytest.approx(max(worst, 0.0), abs=1e-14)
+        return
+    assert res.value == math.inf
+    ray = res.ray
+    assert set(np.unique(ray)) <= {0.0, 1.0}
+    # the certificate is the indicator of a top-k set of z ...
+    assert z[ray == 1.0].min() >= z[ray == 0.0].max(initial=-math.inf)
+    # ... along which the objective grows linearly
+    grow = [
+        c * pairing(space, Rv(ray), Rv(z)) - evaluate_risk(space, avar(t), Rv(c * ray))
+        for c in (1.0, 2.0, 4.0)
+    ]
+    assert 0.0 < grow[0] < grow[1] < grow[2]
+    assert grow[2] == pytest.approx(4.0 * grow[0], rel=1e-9)
