@@ -16,16 +16,21 @@ import numpy as np
 __all__ = [
     "ConvergenceError",
     "bisect_gauge",
+    "newton_gauge",
     "minimize_scalar_convex",
     "golden_max_interval",
     "pav_decreasing",
     "project_decreasing_nonneg",
+    "prefix_indicators",
     "MaximizeResult",
     "maximize_linear_on_ball",
 ]
 
 _INF = math.inf
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_EXPAND = 400
+# line-search tolerances: coarse first, full precision once a pass stalls
+_XTOLS = (3e-5, 3e-7, 3e-9, 3e-11)
 
 
 class ConvergenceError(RuntimeError):
@@ -37,7 +42,6 @@ def bisect_gauge(
     *,
     hi0: float = 1.0,
     rel_tol: float = 1e-12,
-    max_expand: int = 400,
 ) -> float:
     """inf{b > 0 : pred(b)} for pred that is monotone (False below, True above).
 
@@ -45,7 +49,7 @@ def bisect_gauge(
     never holds within the expansion budget.
     """
     hi = max(hi0, 1e-300)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if pred(hi):
             break
         hi *= 2.0
@@ -66,12 +70,52 @@ def bisect_gauge(
     return 0.5 * (lo + hi)
 
 
+def newton_gauge(
+    g: Callable[[float], float],
+    gprime: Callable[[float], float],
+    s0: float,
+    rel_tol: float,
+) -> float:
+    """1/s at the root s of g, for g increasing and convex on (0, inf).
+
+    Gauges inf{beta : modular(a/beta) <= 1} are written in s = 1/beta, where
+    the modular is increasing and convex.  The root is bracketed by doubling
+    and halving from s0; Newton then runs from the upper end of the bracket
+    and falls back to bisection whenever a step leaves it.  Returns 0.0 when
+    the root lies above 1e300 and +inf when it lies below 1e-300.
+    """
+    hi = s0
+    while g(hi) < 0.0:
+        hi *= 2.0
+        if hi > 1e300:
+            return 0.0
+    lo = hi / 2.0
+    while g(lo) > 0.0:
+        hi = lo
+        lo /= 2.0
+        if lo < 1e-300:
+            return _INF
+    s = hi
+    for _ in range(100):
+        val = g(s)
+        if val > 0.0:
+            hi = s
+        else:
+            lo = s
+        nxt = s - val / gprime(s)
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - s) <= rel_tol * s:
+            return 1.0 / nxt
+        s = nxt
+    return 1.0 / s
+
+
 def minimize_scalar_convex(
     f: Callable[[float], float],
     *,
     x0: float = 1.0,
     tol: float = 1e-9,
-    max_expand: int = 400,
 ) -> tuple[float, float]:
     """Minimize a quasiconvex f over (0, inf); f may be +inf near zero.
 
@@ -81,7 +125,7 @@ def minimize_scalar_convex(
     """
     x0 = max(x0, 1e-300)
     xm, fm = x0, f(x0)
-    for _ in range(max_expand):
+    for _ in range(_MAX_EXPAND):
         if math.isfinite(fm):
             break
         xm *= 2.0
@@ -99,30 +143,14 @@ def minimize_scalar_convex(
 
     lo, f_lo = xm, fm
     shrink = 0
-    while f(lo / 2.0) < f_lo and shrink < max_expand:
+    while f(lo / 2.0) < f_lo and shrink < _MAX_EXPAND:
         lo /= 2.0
         f_lo = f(lo)
         shrink += 1
         if lo < 1e-290:
             return lo, f_lo  # infimum approached at 0+
     lo /= 2.0
-
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol * max(1.0, abs(a), abs(b)) and b - a > 1e-300:
-        if f1 > f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+    return golden_min_interval(f, lo, hi, rel_xtol=tol)
 
 
 def golden_max_interval(
@@ -131,7 +159,6 @@ def golden_max_interval(
     hi: float,
     *,
     rel_xtol: float = 3e-10,
-    max_iter: int = 80,
 ) -> tuple[float, float]:
     """Maximize a unimodal g on [lo, hi]; tolerates -inf values."""
     a, b = lo, hi
@@ -139,7 +166,7 @@ def golden_max_interval(
     x2 = a + _GOLDEN * (b - a)
     g1, g2 = g(x1), g(x2)
     xtol = rel_xtol * max(1.0, abs(lo), abs(hi))
-    for _ in range(max_iter):
+    for _ in range(80):
         if b - a <= xtol:
             break
         if g1 < g2:
@@ -154,6 +181,14 @@ def golden_max_interval(
     gf = g(hi)
     best = max((g1, x1), (g2, x2), (ge, lo), (gf, hi))
     return best[1], best[0]
+
+
+def golden_min_interval(
+    f: Callable[[float], float], lo: float, hi: float, *, rel_xtol: float = 3e-10
+) -> tuple[float, float]:
+    """Minimize a unimodal f on [lo, hi]; tolerates +inf values."""
+    x, g = golden_max_interval(lambda t: -f(t), lo, hi, rel_xtol=rel_xtol)
+    return x, -g
 
 
 def pav_decreasing(y: np.ndarray) -> np.ndarray:
@@ -187,6 +222,11 @@ def project_decreasing_nonneg(y: np.ndarray) -> np.ndarray:
     return np.maximum(pav_decreasing(y), 0.0)
 
 
+def prefix_indicators(n: int) -> list[np.ndarray]:
+    """The indicators of the first k of n coordinates, k = 1..n."""
+    return [np.concatenate([np.ones(k), np.zeros(n - k)]) for k in range(1, n + 1)]
+
+
 @dataclass(frozen=True)
 class MaximizeResult:
     value: float
@@ -195,27 +235,10 @@ class MaximizeResult:
     n_evals: int
 
 
-def golden_min_interval(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    rel_xtol: float = 3e-10,
-    max_iter: int = 80,
-) -> tuple[float, float]:
-    """Minimize a unimodal f on [lo, hi]; tolerates +inf values."""
-    x, g = golden_max_interval(lambda t: -f(t), lo, hi, rel_xtol=rel_xtol, max_iter=max_iter)
-    return x, -g
-
-
 def minimize_convex_on_orthant(
     f: Callable[[np.ndarray], float],
     starts: Sequence[np.ndarray],
     rng: np.random.Generator,
-    *,
-    max_passes: int = 12,
-    tol: float = 1e-11,
-    span: float = 16.0,
 ) -> tuple[float, np.ndarray, bool]:
     """Minimize a convex f (values may be +inf) over the nonnegative orthant.
 
@@ -228,7 +251,6 @@ def minimize_convex_on_orthant(
     best_v: np.ndarray | None = None
     best_val = _INF
     converged = False
-    xtols = [3e-5, 3e-7, 3e-9, 3e-11]
     for v0 in starts:
         v = np.maximum(np.asarray(v0, dtype=float), 0.0)
         val = f(v)
@@ -236,7 +258,7 @@ def minimize_convex_on_orthant(
             continue
         local_ok = False
         xtol_idx = 0
-        for _ in range(max_passes):
+        for _ in range(12):
             val_pass = val
             n = v.size
             directions: list[np.ndarray] = [np.eye(n)[i] for i in range(n)]
@@ -252,26 +274,26 @@ def minimize_convex_on_orthant(
                     continue
                 d = d / dn
                 t_lo, t_hi = _feasible_interval(v, d, monotone=False)
-                t_lo = max(t_lo, -span * scale)
-                t_hi = min(t_hi, span * scale)
+                t_lo = max(t_lo, -16.0 * scale)
+                t_hi = min(t_hi, 16.0 * scale)
                 if t_hi - t_lo <= 1e-16 * scale:
                     continue
                 t_best, f_best = golden_min_interval(
                     lambda t: f(np.maximum(v + t * d, 0.0)),
                     t_lo,
                     t_hi,
-                    rel_xtol=xtols[xtol_idx],
+                    rel_xtol=_XTOLS[xtol_idx],
                 )
                 if f_best < val:
                     v = np.maximum(v + t_best * d, 0.0)
                     val = f_best
-            if val_pass - val <= tol * max(1.0, abs(val)):
-                if xtol_idx == len(xtols) - 1:
+            if val_pass - val <= 1e-11 * max(1.0, abs(val)):
+                if xtol_idx == len(_XTOLS) - 1:
                     local_ok = True
                     break
-                xtol_idx = len(xtols) - 1
+                xtol_idx = len(_XTOLS) - 1
             else:
-                xtol_idx = min(xtol_idx + 1, len(xtols) - 1)
+                xtol_idx = min(xtol_idx + 1, len(_XTOLS) - 1)
         if val < best_val:
             best_val, best_v = val, v
         converged = converged or local_ok
@@ -340,8 +362,6 @@ def maximize_linear_on_ball(
     n_random_starts: int = 6,
     subgrad_iters: int = 40,
     max_passes: int = 18,
-    polish_from: int = 2,
-    ratio_tol: float = 1e-12,
 ) -> MaximizeResult:
     """Maximize <c, w> over {w in cone : norm_fn(w) <= 1}.
 
@@ -358,21 +378,21 @@ def maximize_linear_on_ball(
     def project(w: np.ndarray) -> np.ndarray:
         return project_decreasing_nonneg(w) if monotone else np.maximum(w, 0.0)
 
-    def ratio(w: np.ndarray) -> float:
+    def ratio(w: np.ndarray) -> tuple[float, float]:
+        """(<c, w> / norm_fn(w), norm_fn(w)); counts the evaluation."""
         nonlocal evals
-        dot = float(np.dot(c, w))
         nrm = norm_fn(w)
         evals += 1
         if nrm <= 0.0:
-            if dot > 1e-12 * max(1.0, float(np.abs(w).max())):
+            if float(np.dot(c, w)) > 1e-12 * max(1.0, float(np.abs(w).max())):
                 raise ValueError(
                     "the seminorm vanishes along a direction with positive pairing; "
                     "the polar value is +inf"
                 )
-            return -_INF
+            return -_INF, nrm
         if math.isinf(nrm):
-            return 0.0
-        return dot / nrm
+            return 0.0, nrm
+        return float(np.dot(c, w)) / nrm, nrm
 
     starts: list[np.ndarray] = []
     cpos = project(c.copy())
@@ -394,34 +414,17 @@ def maximize_linear_on_ball(
         starts.append(project(np.abs(rng.standard_normal(n))))
 
     c_dir = c / max(float(np.linalg.norm(c)), 1e-300)
-
-    def ratio_from(dot: float, nrm: float, w: np.ndarray) -> float:
-        if nrm <= 0.0:
-            if dot > 1e-12 * max(1.0, float(np.abs(w).max())):
-                raise ValueError(
-                    "the seminorm vanishes along a direction with positive pairing; "
-                    "the polar value is +inf"
-                )
-            return -_INF
-        if math.isinf(nrm):
-            return 0.0
-        return dot / nrm
-
     scored: list[tuple[float, np.ndarray]] = []
     for w0 in starts:
         w = w0 / max(float(np.abs(w0).max()), 1e-300)
-        nrm = norm_fn(w)
-        evals += 1
-        best_r = ratio_from(float(np.dot(c, w)), nrm, w)
+        best_r, nrm = ratio(w)
         if nrm > 0 and math.isfinite(nrm):
             w = w / nrm
         best_w = w.copy()
         step0 = float(np.abs(w).max()) or 1.0
         for k in range(subgrad_iters):
             w = project(w + step0 / math.sqrt(k + 1.0) * c_dir)
-            nrm = norm_fn(w)
-            evals += 1
-            r = ratio_from(float(np.dot(c, w)), nrm, w)
+            r, nrm = ratio(w)
             if nrm > 1.0 and math.isfinite(nrm):
                 w = w / nrm
             if r > best_r:
@@ -432,21 +435,17 @@ def maximize_linear_on_ball(
     overall_r, overall_w = scored[0]
     converged = False
 
-    # coarse line searches first, full precision once a pass stops improving
-    xtols = [3e-5, 3e-7, 3e-9, 3e-11]
-
-    for _, w_start in scored[:polish_from]:
+    # polish the two best starts
+    for _, w_start in scored[:2]:
         w = w_start.copy()
-        r_cur = ratio(w)
+        r_cur, _ = ratio(w)
         local_converged = False
         xtol_idx = 0
         for pass_no in range(max_passes):
             r_pass = r_cur
             directions: list[np.ndarray] = [np.eye(n)[i] for i in range(n)]
             if monotone:
-                directions += [
-                    np.concatenate([np.ones(k), np.zeros(n - k)]) for k in range(2, n + 1)
-                ]
+                directions += prefix_indicators(n)[1:]
                 # transfers walk polytope edges that coordinate and prefix
                 # moves stall on (raise a block, lower the next coordinate)
                 for i in range(n - 1):
@@ -470,10 +469,10 @@ def maximize_linear_on_ball(
                     continue
                 # w + t*d stays in the cone on [t_lo, t_hi]; no projection needed
                 t_best, r_best = golden_max_interval(
-                    lambda t: ratio(w + t * d),
+                    lambda t: ratio(w + t * d)[0],
                     t_lo,
                     t_hi,
-                    rel_xtol=xtols[xtol_idx],
+                    rel_xtol=_XTOLS[xtol_idx],
                 )
                 if r_best > r_cur:
                     w = project(w + t_best * d)
@@ -482,15 +481,15 @@ def maximize_linear_on_ball(
                     if m > 0:
                         w = w / m
                         scale_w = 1.0
-            if r_cur - r_pass <= ratio_tol * max(1.0, abs(r_cur)):
+            if r_cur - r_pass <= 1e-12 * max(1.0, abs(r_cur)):
                 # a stalled pass at full precision is converged; a stalled
                 # coarse pass jumps straight to full precision
-                if xtol_idx == len(xtols) - 1:
+                if xtol_idx == len(_XTOLS) - 1:
                     local_converged = True
                     break
-                xtol_idx = len(xtols) - 1
+                xtol_idx = len(_XTOLS) - 1
             else:
-                xtol_idx = min(xtol_idx + 1, len(xtols) - 1)
+                xtol_idx = min(xtol_idx + 1, len(_XTOLS) - 1)
         if r_cur > overall_r:
             overall_r, overall_w = r_cur, w
         converged = converged or local_converged

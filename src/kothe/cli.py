@@ -37,6 +37,7 @@ from .norms import (
 from .duality import dual_spec_of, polar, verify_bipolar, verify_sandwich
 from .rearrange import cvar_infimum, quantile, quantile_integral
 from .risk import (
+    RiskMeasureSpec,
     avar,
     check_risk_axioms,
     entropic,
@@ -274,9 +275,9 @@ def config_text(obj) -> str:
         else:
             raise ConfigError("this inner seminorm does not serialize to config text")
         return "\n".join(["kind=gen_orlicz"] + young_lines(obj.phi) + inner_lines) + "\n"
-    if hasattr(obj, "kind") and getattr(obj, "kind", None) == "avar":
+    if isinstance(obj, RiskMeasureSpec) and obj.kind == "avar":
         return f"kind=avar\nlevel={obj.level:g}\n"
-    if hasattr(obj, "kind") and getattr(obj, "kind", None) == "entropic":
+    if isinstance(obj, RiskMeasureSpec) and obj.kind == "entropic":
         return f"kind=entropic\ntheta={obj.theta:g}\n"
     raise ConfigError(f"cannot serialize {obj!r} to config text")
 
@@ -499,7 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--random", type=int, metavar="N", help="use a random N-atom scenario")
         p.add_argument("--seed", type=int, help="seed for anything randomized")
         p.add_argument("--tol", type=float, help="override the check slack")
-        p.add_argument("--json", action="store_true", help="JSON output (the default)")
         if config:
             p.add_argument("--config", required=True, help="key=value spec file")
 

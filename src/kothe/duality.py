@@ -68,16 +68,14 @@ class PolarResult:
     converged: bool
 
 
-_SPOT_CACHE: "weakref.WeakKeyDictionary[Seminorm, set[bytes]]" = None  # type: ignore[assignment]
+# atom-probability keys of the spaces each seminorm has passed the spot check on
+_SPOT_CACHE: "weakref.WeakKeyDictionary[Seminorm, set[bytes]]" = weakref.WeakKeyDictionary()
 
 
 def _spot_check(space: FiniteProbSpace, spec: Seminorm) -> None:
     """Cheap randomized screen: symmetry, homogeneity, subadditivity and
     monotonicity under domination (the solidity axiom) must hold before the
     sign and rearrangement reductions below are valid."""
-    global _SPOT_CACHE
-    if _SPOT_CACHE is None:
-        _SPOT_CACHE = weakref.WeakKeyDictionary()
     done = _SPOT_CACHE.get(spec)
     key = space.probs.tobytes()
     if done is not None and key in done:

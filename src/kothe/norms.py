@@ -16,9 +16,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._optim import bisect_gauge, minimize_convex_on_orthant, minimize_scalar_convex
+from ._optim import (
+    bisect_gauge,
+    minimize_convex_on_orthant,
+    minimize_scalar_convex,
+    newton_gauge,
+    prefix_indicators,
+)
 from .risk import RiskMeasureSpec, _risk_norm_arr
-from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space
+from .space import (
+    DEFAULT_TOL,
+    CheckItem,
+    FiniteProbSpace,
+    Rv,
+    Tolerances,
+    _check_on_space,
+    _WorstCase,
+)
 from .young import MusielakFamily, YoungFunction
 
 __all__ = [
@@ -205,7 +219,6 @@ class LuxemburgNorm(Seminorm):
         self.family = family
         self.rearrangement_invariant = family.is_constant
         self.name = "luxemburg"
-        self._conjugate_family: MusielakFamily | None = None
 
     def _value_arr(self, space, x, tol):
         if len(self.family) != x.size:
@@ -215,8 +228,15 @@ class LuxemburgNorm(Seminorm):
             return 0.0
         pw = self.family._pow_p  # type: ignore[attr-defined]
         if pw is not None:
-            return _power_modular_gauge(
-                space.probs, a, pw, self.family._pow_scale, tol  # type: ignore[attr-defined]
+            # E Phi(s*a) = sum(c_i * s**p_i) with positive coefficients
+            mask = a > 0.0
+            p = pw[mask]
+            c = space.probs[mask] * self.family._pow_scale[mask] * a[mask] ** p  # type: ignore[attr-defined]
+            return newton_gauge(
+                lambda s: float(np.dot(c, s**p)) - 1.0,
+                lambda s: float(np.dot(c * p, s ** (p - 1.0))),
+                1.0 / float(a.max()),
+                tol.gauge_rel,
             )
         hi0 = max(float(a.max()), 1e-12)
         return bisect_gauge(
@@ -226,60 +246,10 @@ class LuxemburgNorm(Seminorm):
         )
 
     def dual_value_arr(self, space, z, tol):
-        if self._conjugate_family is None:
-            self._conjugate_family = self.family.conjugate()
-        return _amemiya_arr(space.probs, z, self._conjugate_family, tol)
+        return _amemiya_arr(space.probs, z, self.family.conjugate(), tol)
 
     def polar_start_profiles(self, space, z):
         return [np.abs(z)]
-
-
-def _power_modular_gauge(
-    probs: np.ndarray,
-    a: np.ndarray,
-    pw: np.ndarray,
-    scale: np.ndarray,
-    tol: Tolerances,
-) -> float:
-    """Solve E Phi(a/beta) = 1 for all-power families by safeguarded Newton.
-
-    The modular is sum(c_i * beta**-p_i) with positive coefficients: smooth,
-    decreasing and convex in beta, so Newton from a bracketed start converges
-    fast and the bracket guards the remaining cases.
-    """
-    mask = a > 0.0
-    c = probs[mask] * scale[mask] * a[mask] ** pw[mask]
-    p = pw[mask]
-
-    def g(beta: float) -> float:
-        return float(np.dot(c, beta**-p)) - 1.0
-
-    def gprime(beta: float) -> float:
-        return float(np.dot(c * -p, beta ** -(p + 1.0)))
-
-    hi = float(a.max())
-    while g(hi) > 0.0:
-        hi *= 2.0
-    lo = hi / 2.0
-    while g(lo) < 0.0:
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
-    beta = hi
-    for _ in range(100):
-        val = g(beta)
-        if val > 0.0:
-            lo = beta
-        else:
-            hi = beta
-        nxt = beta - val / gprime(beta)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - beta) <= tol.gauge_rel * beta:
-            return nxt
-        beta = nxt
-    return beta
 
 
 def _breakpoint_data(probs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,13 +283,7 @@ class MarcinkiewiczNorm(Seminorm):
         self.name = f"marcinkiewicz({phi.name})"
 
     def _value_arr(self, space, x, tol):
-        if not np.any(np.abs(x) > 0.0):
-            return 0.0
-        _, bp, integrals = _breakpoint_data(space.probs, x)
-        weights = self.phi._eval(bp)
-        if np.any(weights <= 0.0):
-            raise ValueError("phi must be positive on (0, 1]")
-        return float((integrals / weights).max())
+        return _marcinkiewicz_arr(space.probs, x, self.phi)
 
     def dual_value_arr(self, space, z, tol):
         if not space.is_uniform:
@@ -331,6 +295,16 @@ class MarcinkiewiczNorm(Seminorm):
         cum[-1] = 1.0
         inc = np.diff(self.phi(cum)) / np.diff(cum)
         return [np.maximum(inc, 0.0)]
+
+
+def _marcinkiewicz_arr(probs: np.ndarray, x: np.ndarray, phi: PhiConcave) -> float:
+    if not np.any(np.abs(x) > 0.0):
+        return 0.0
+    _, bp, integrals = _breakpoint_data(probs, x)
+    weights = phi._eval(bp)
+    if np.any(weights <= 0.0):
+        raise ValueError("phi must be positive on (0, 1]")
+    return float((integrals / weights).max())
 
 
 def _lorentz_arr(probs: np.ndarray, x: np.ndarray, phi: PhiConcave) -> float:
@@ -347,7 +321,6 @@ class LorentzNorm(Seminorm):
     def __init__(self, phi: PhiConcave):
         self.phi = phi
         self.name = f"lorentz({phi.name})"
-        self._dual = None
 
     def _value_arr(self, space, x, tol):
         return _lorentz_arr(space.probs, x, self.phi)
@@ -355,13 +328,10 @@ class LorentzNorm(Seminorm):
     def dual_value_arr(self, space, z, tol):
         if not space.is_uniform:
             return None
-        if self._dual is None:
-            self._dual = MarcinkiewiczNorm(self.phi)
-        return self._dual._value_arr(space, z, tol)
+        return _marcinkiewicz_arr(space.probs, z, self.phi)
 
     def polar_start_profiles(self, space, z):
-        n = z.size
-        return [np.concatenate([np.ones(k), np.zeros(n - k)]) for k in range(1, n + 1)]
+        return prefix_indicators(z.size)
 
 
 class RiskNorm(Seminorm):
@@ -376,8 +346,7 @@ class RiskNorm(Seminorm):
         return _risk_norm_arr(space, self.rho, np.abs(x), tol)
 
     def polar_start_profiles(self, space, z):
-        n = z.size
-        return [np.concatenate([np.ones(k), np.zeros(n - k)]) for k in range(1, n + 1)]
+        return prefix_indicators(z.size)
 
 
 class GenOrliczNorm(Seminorm):
@@ -563,8 +532,6 @@ def gen_orlicz_dual_norm(
     *,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    n_restarts: int = 1,
-    max_passes: int = 12,
 ) -> GenOrliczDualResult:
     """Minimize E[v Phi*(y/v)] + r_polar(v) over nonnegative densities v.
 
@@ -596,30 +563,19 @@ def gen_orlicz_dual_norm(
 
     rng = np.random.default_rng(seed)
     scale = float(np.dot(probs, z))
-    starts = [z / float(np.linalg.norm(z)), np.full(n, scale)]
-    for _ in range(n_restarts):
-        starts.append(np.abs(rng.standard_normal(n)) * scale + 1e-3 * scale)
-
-    sum_val, v_sum, ok_sum = minimize_convex_on_orthant(
-        d_sum, starts, rng, max_passes=max_passes
-    )
+    starts = [
+        z / float(np.linalg.norm(z)),
+        np.full(n, scale),
+        np.abs(rng.standard_normal(n)) * scale + 1e-3 * scale,
+    ]
+    sum_val, v_sum, ok_sum = minimize_convex_on_orthant(d_sum, starts, rng)
     # the max-form optimum has the same support structure; warm-start there
-    max_val, _, ok_max = minimize_convex_on_orthant(
-        d_max, [v_sum] + starts[:2], rng, max_passes=max_passes
-    )
+    max_val, _, ok_max = minimize_convex_on_orthant(d_max, [v_sum] + starts[:2], rng)
     return GenOrliczDualResult(sum_val, max_val, v_sum, ok_sum and ok_max)
 
 
 # ---------------------------------------------------------------------------
 # axiom checking
-
-
-@dataclass(frozen=True)
-class CheckItem:
-    name: str
-    passed: bool
-    worst: float
-    witness: str | None = None
 
 
 _CORE_ITEMS = (
@@ -692,13 +648,7 @@ def check_axioms(
     def p(x: np.ndarray) -> float:
         return spec._value_arr(space, x, tol)
 
-    worst: dict[str, tuple[float, str | None]] = {}
-
-    def bump(key: str, val: float, witness: np.ndarray | None) -> None:
-        prev = worst.get(key, (-_INF, None))
-        if val > prev[0]:
-            worst[key] = (val, None if witness is None else _fmt(witness))
-
+    worst = _WorstCase(-_INF)
     c_lower, c_upper = _INF, 0.0
     indicator_ok = True
     for k in range(trials):
@@ -706,58 +656,35 @@ def check_axioms(
         v = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
         pu, pv = p(u), p(v)
         scale = max(1.0, abs(pu), abs(pv))
-        bump("nonnegative", -pu / scale, u)
-        bump("symmetry", abs(p(-u) - pu) / scale, u)
+        worst.bump("nonnegative", -pu / scale, u)
+        worst.bump("symmetry", abs(p(-u) - pu) / scale, u)
         alpha = float(np.exp(rng.uniform(-2.0, 2.0)))
-        bump("homogeneity", abs(p(alpha * u) - alpha * pu) / (alpha * scale), u)
-        bump("subadditivity", (p(u + v) - pu - pv) / scale, u + v)
+        worst.bump("homogeneity", abs(p(alpha * u) - alpha * pu) / (alpha * scale), u)
+        worst.bump("subadditivity", (p(u + v) - pu - pv) / scale, u + v)
         dominated = u * rng.uniform(0.0, 1.0, size=n) * rng.choice([-1.0, 1.0], size=n)
-        bump("solid_monotone", (p(dominated) - pu) / scale, dominated)
+        worst.bump("solid_monotone", (p(dominated) - pu) / scale, dominated)
         l1 = float(np.dot(space.probs, np.abs(u)))
         linf = float(np.abs(u).max())
         if l1 > 0 and np.isfinite(pu):
             c_lower = min(c_lower, pu / l1)
         if linf > 0 and np.isfinite(pu):
             c_upper = max(c_upper, pu / linf)
-        # decay along a nested shrinking sequence of atom sets
-        alive = list(range(n))
-        rng.shuffle(alive)
-        prev = pu
-        while alive:
-            alive.pop()
-            masked = np.zeros(n)
-            masked[alive] = u[alive]
-            cur = p(masked)
-            bump("order_continuity", (cur - prev) / scale, masked)
-            prev = cur
-        bump("order_continuity", abs(prev) / scale, None)
+        worst.bump_shrinking("order_continuity", p, u, pu, scale, rng)
         idx = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
         ind = np.zeros(n)
         ind[idx] = 1.0
         if not np.isfinite(p(ind)):
             indicator_ok = False
 
-    items = [
-        CheckItem("nonnegative", worst["nonnegative"][0] <= slack, *_wit(worst["nonnegative"], slack)),
-        CheckItem("symmetry", worst["symmetry"][0] <= slack, *_wit(worst["symmetry"], slack)),
-        CheckItem("homogeneity", worst["homogeneity"][0] <= slack, *_wit(worst["homogeneity"], slack)),
-        CheckItem("subadditivity", worst["subadditivity"][0] <= slack, *_wit(worst["subadditivity"], slack)),
+    items = [worst.item(k, slack) for k in ("nonnegative", "symmetry", "homogeneity", "subadditivity")]
+    items += [
         CheckItem("lower_l1_bound", c_lower > 1e-10, c_lower),
         CheckItem("bounded_by_sup", np.isfinite(c_upper), c_upper),
-        CheckItem("solid_monotone", worst["solid_monotone"][0] <= slack, *_wit(worst["solid_monotone"], slack)),
-        CheckItem("order_continuity", worst["order_continuity"][0] <= slack, *_wit(worst["order_continuity"], slack)),
+        worst.item("solid_monotone", slack),
+        worst.item("order_continuity", slack),
         CheckItem("decomposable", indicator_ok, 0.0 if indicator_ok else _INF),
     ]
     return AxiomReport(tuple(items), c_lower, c_upper)
-
-
-def _wit(pair: tuple[float, str | None], slack: float) -> tuple[float, str | None]:
-    val, wit = pair
-    return val, (wit if val > slack else None)
-
-
-def _fmt(x: np.ndarray) -> str:
-    return np.array2string(np.asarray(x), precision=6, separator=", ")
 
 
 # ---------------------------------------------------------------------------
@@ -794,12 +721,7 @@ def fundamental_functions(
     """
     n = space.n_atoms
     if spec.rearrangement_invariant and space.is_uniform:
-        vals = np.array(
-            [
-                spec._value_arr(space, np.concatenate([np.ones(k), np.zeros(n - k)]), tol)
-                for k in range(1, n + 1)
-            ]
-        )
+        vals = np.array([spec._value_arr(space, ind, tol) for ind in prefix_indicators(n)])
         ts = np.arange(1, n + 1) / n
         # monotone under domination, so the sup and inf both land on vals
         return FundamentalFunctions(ts, vals, vals)

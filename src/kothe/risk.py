@@ -14,9 +14,17 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import ConvergenceError, bisect_gauge, minimize_scalar_convex
+from ._optim import ConvergenceError, bisect_gauge, minimize_scalar_convex, newton_gauge
 from .rearrange import _sorted_prefix, _tail_min
-from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space
+from .space import (
+    DEFAULT_TOL,
+    CheckItem,
+    FiniteProbSpace,
+    Rv,
+    Tolerances,
+    _check_on_space,
+    _WorstCase,
+)
 
 __all__ = [
     "RiskMeasureSpec",
@@ -118,7 +126,20 @@ def _risk_norm_arr(
         # the gauge of a positively homogeneous rho is rho itself
         return _risk_arr(space, rho, x_abs)
     if rho.kind == "entropic":
-        return _entropic_gauge(space.probs, x_abs, rho.theta, tol)
+        probs, theta = space.probs, rho.theta
+
+        def slope(s: float) -> float:
+            w = theta * s * x_abs
+            e = probs * np.exp(w - float(w.max()))
+            return float(np.dot(e, x_abs) / e.sum())
+
+        # rho(s*|x|) is increasing and convex in s = 1/beta
+        return newton_gauge(
+            lambda s: _entropic_arr(probs, s * x_abs, theta) - 1.0,
+            slope,
+            1.0 / float(x_abs.max()),
+            tol.gauge_rel,
+        )
     hi0 = max(float(x_abs.max()), abs(_risk_arr(space, rho, x_abs)), 1e-12)
     return bisect_gauge(
         lambda b: _risk_arr(space, rho, x_abs / b) <= 1.0,
@@ -127,70 +148,20 @@ def _risk_norm_arr(
     )
 
 
-def _entropic_gauge(probs: np.ndarray, a: np.ndarray, theta: float, tol: Tolerances) -> float:
-    """Solve rho(a/beta) = 1 by safeguarded Newton in s = 1/beta."""
-
-    def g(s: float) -> float:
-        return _entropic_arr(probs, s * a, theta) - 1.0
-
-    def gprime(s: float) -> float:
-        w = theta * s * a
-        m = float(w.max())
-        e = probs * np.exp(w - m)
-        return float(np.dot(e, a) / e.sum())
-
-    s_hi = 1.0 / float(a.max())
-    while g(s_hi) < 0.0:
-        s_hi *= 2.0
-    s_lo = s_hi / 2.0
-    while g(s_lo) > 0.0:
-        s_hi = s_lo
-        s_lo /= 2.0
-        if s_lo < 1e-300:
-            return _INF
-    s = 0.5 * (s_lo + s_hi)
-    for _ in range(80):
-        val = g(s)
-        if val > 0.0:
-            s_hi = s
-        else:
-            s_lo = s
-        step = val / gprime(s)
-        s_new = s - step
-        if not s_lo < s_new < s_hi:
-            s_new = 0.5 * (s_lo + s_hi)
-        if abs(s_new - s) <= tol.gauge_rel * s:
-            s = s_new
-            break
-        s = s_new
-    return 1.0 / s
-
-
 def risk_norm(
     space: FiniteProbSpace,
     rho: RiskMeasureSpec,
     u: Rv,
     *,
     tol: Tolerances = DEFAULT_TOL,
-    method: str = "auto",
 ) -> float:
     """inf{beta > 0 : rho(|u|/beta) <= 1}.
 
-    ``method="bisect"`` forces the gauge bisection even where a shortcut is
-    exact (positively homogeneous rho); used by tests as a cross-check.
+    rho itself for positively homogeneous rho, safeguarded Newton for the
+    entropic measure and gauge bisection otherwise.
     """
     _check_on_space(space, u)
-    x_abs = np.abs(u.values)
-    if method == "bisect":
-        if not np.any(x_abs > 0.0):
-            return 0.0
-        hi0 = max(float(x_abs.max()), 1e-12)
-        return bisect_gauge(
-            lambda b: _risk_arr(space, rho, x_abs / b) <= 1.0,
-            hi0=hi0,
-            rel_tol=tol.gauge_rel,
-        )
-    return _risk_norm_arr(space, rho, x_abs, tol)
+    return _risk_norm_arr(space, rho, np.abs(u.values), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,20 +234,22 @@ def penalty(
 
     rng = np.random.default_rng(seed)
     best_val, best_xi = 0.0, None
-    # indicator directions are checked first: they span the growth cone for
-    # tail-mean measures and give the cleanest certificates
-    candidates: list[np.ndarray] = []
-    order = np.argsort(-z)
-    for j in range(1, n + 1):
-        xi = np.zeros(n)
-        xi[order[:j]] = 1.0
-        candidates.append(xi)
-    for _ in range(128):
-        candidates.append((rng.random(n) < 0.5).astype(float))
-    candidates.append(z / scale)
-    for _ in range(32):
-        candidates.append(np.abs(rng.standard_normal(n)))
-    for xi in candidates:
+
+    def candidates():
+        # indicator directions come first: they span the growth cone for
+        # tail-mean measures and give the cleanest certificates
+        order = np.argsort(-z)
+        for j in range(1, n + 1):
+            xi = np.zeros(n)
+            xi[order[:j]] = 1.0
+            yield xi
+        for _ in range(128):
+            yield (rng.random(n) < 0.5).astype(float)
+        yield z / scale
+        for _ in range(32):
+            yield np.abs(rng.standard_normal(n))
+
+    for xi in candidates():
         v = _penalty_value(space, rho, xi, z)
         if v > best_val:
             best_val, best_xi = v, xi
@@ -474,13 +447,12 @@ def risk_dual_norm(
     *,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    agreement_tol: float = 1e-6,
 ) -> RiskDualResult:
     """Dual norm of y against the risk norm of rho.
 
     Computes inf over beta of beta * penalty(|y|/beta) + beta, and
     independently the direct polar supremum over the unit ball; raises
-    ConvergenceError when the two disagree beyond ``agreement_tol``.
+    ConvergenceError when the two disagree by more than 1e-6 relative.
     """
     _check_on_space(space, y, "y")
     z = np.abs(y.values)
@@ -493,7 +465,7 @@ def risk_dual_norm(
 
     direct = polar(space, RiskNorm(rho), y, seed=seed, tol=tol)
     gap = abs(value - direct.value)
-    if gap > agreement_tol * max(1.0, abs(value)):
+    if gap > 1e-6 * max(1.0, abs(value)):
         raise ConvergenceError(
             f"risk dual norm mismatch: infimal form {value!r} vs polar {direct.value!r}"
         )
@@ -501,16 +473,8 @@ def risk_dual_norm(
 
 
 @dataclass(frozen=True)
-class RiskCheckItem:
-    name: str
-    passed: bool
-    worst: float
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
 class RiskAxiomReport:
-    items: tuple[RiskCheckItem, ...]
+    items: tuple[CheckItem, ...]
 
     @property
     def all_pass(self) -> bool:
@@ -543,54 +507,20 @@ def check_risk_axioms(
     def r(x: np.ndarray) -> float:
         return _risk_arr(space, rho, x)
 
-    items: list[RiskCheckItem] = []
-
     zero_gap = abs(r(np.zeros(n)))
-    items.append(RiskCheckItem("zero", zero_gap <= slack, zero_gap))
-
-    worst: dict[str, tuple[float, str | None]] = {
-        "translation": (0.0, None),
-        "monotone": (0.0, None),
-        "convex": (0.0, None),
-        "lebesgue": (0.0, None),
-    }
-
-    def bump(key: str, val: float, witness: str | None) -> None:
-        if val > worst[key][0]:
-            worst[key] = (val, witness)
-
+    items = [CheckItem("zero", zero_gap <= slack, zero_gap)]
+    worst = _WorstCase(0.0)
     for _ in range(trials):
         u = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
         v = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
         scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
         alpha = float(rng.standard_normal())
-        bump(
-            "translation",
-            abs(r(u + alpha) - r(u) - alpha) / scale,
-            _fmt(u),
-        )
+        worst.bump("translation", abs(r(u + alpha) - r(u) - alpha) / scale, u)
         upper = u + np.abs(rng.standard_normal(n))
-        bump("monotone", (r(u) - r(upper)) / scale, _fmt(u))
+        worst.bump("monotone", (r(u) - r(upper)) / scale, u)
         mid = 0.5 * (u + v)
-        bump("convex", (r(mid) - 0.5 * (r(u) + r(v))) / scale, _fmt(mid))
+        worst.bump("convex", (r(mid) - 0.5 * (r(u) + r(v))) / scale, mid)
         a = np.abs(u)
-        alive = list(range(n))
-        rng.shuffle(alive)
-        prev = r(a)
-        while alive:
-            alive.pop()
-            masked = np.zeros(n)
-            masked[alive] = a[alive]
-            cur = r(masked)
-            bump("lebesgue", (cur - prev) / scale, _fmt(masked))
-            prev = cur
-        bump("lebesgue", abs(prev) / scale, None)
-
-    for key in ("translation", "monotone", "convex", "lebesgue"):
-        w, wit = worst[key]
-        items.append(RiskCheckItem(key, w <= slack, w, wit if w > slack else None))
+        worst.bump_shrinking("lebesgue", r, a, r(a), scale, rng)
+    items += [worst.item(k, slack) for k in ("translation", "monotone", "convex", "lebesgue")]
     return RiskAxiomReport(tuple(items))
-
-
-def _fmt(x: np.ndarray) -> str:
-    return np.array2string(np.asarray(x), precision=6, separator=", ")

@@ -10,11 +10,12 @@ needs no coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
+    "CheckItem",
     "Tolerances",
     "DEFAULT_TOL",
     "FiniteProbSpace",
@@ -32,13 +33,11 @@ class Tolerances:
     """Central numeric policy, overridable per call.
 
     linear:    absolute tolerance for identities exact up to rounding
-    optim:     tolerance for quantities produced by an optimizer
     gauge_rel: relative bracket width at which gauge bisections stop
     golden:    absolute tolerance of one-dimensional golden-section searches
     """
 
     linear: float = 1e-12
-    optim: float = 1e-8
     gauge_rel: float = 1e-12
     golden: float = 1e-9
 
@@ -199,3 +198,61 @@ def indicator(space: FiniteProbSpace, atoms: Iterable[int]) -> Rv:
             raise ValueError(f"atom index {i} out of range")
         out[i] = 1.0
     return Rv(out)
+
+
+@dataclass(frozen=True)
+class CheckItem:
+    """One randomized property check: its worst violation and, when it fails,
+    the input that produced it."""
+
+    name: str
+    passed: bool
+    worst: float
+    witness: str | None = None
+
+
+def _fmt(x: np.ndarray) -> str:
+    return np.array2string(np.asarray(x), precision=6, separator=", ")
+
+
+class _WorstCase:
+    """Largest violation seen per property, starting from ``floor``.
+
+    Witness arrays are kept as given and formatted only for failing items.
+    """
+
+    def __init__(self, floor: float):
+        self._floor = floor
+        self._worst: dict[str, tuple[float, np.ndarray | None]] = {}
+
+    def bump(self, key: str, val: float, witness: np.ndarray | None) -> None:
+        if val > self._worst.get(key, (self._floor, None))[0]:
+            self._worst[key] = (val, witness)
+
+    def bump_shrinking(
+        self,
+        key: str,
+        f: Callable[[np.ndarray], float],
+        x: np.ndarray,
+        fx: float,
+        scale: float,
+        rng: np.random.Generator,
+    ) -> None:
+        """Growth of f along a random nested sequence of shrinking supports
+        of x, ending at zero, where f must vanish (order continuity)."""
+        alive = list(range(x.size))
+        rng.shuffle(alive)
+        prev = fx
+        while alive:
+            alive.pop()
+            masked = np.zeros(x.size)
+            masked[alive] = x[alive]
+            cur = f(masked)
+            self.bump(key, (cur - prev) / scale, masked)
+            prev = cur
+        self.bump(key, abs(prev) / scale, None)
+
+    def item(self, key: str, slack: float) -> CheckItem:
+        val, wit = self._worst.get(key, (self._floor, None))
+        shown = _fmt(wit) if val > slack and wit is not None else None
+        return CheckItem(key, val <= slack, val, shown)

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._optim import golden_max_interval
+
 __all__ = [
     "YoungFunction",
     "MusielakFamily",
@@ -206,7 +208,7 @@ def conjugate(phi: YoungFunction) -> YoungFunction:
     return YoungFunction("conjugate", base=phi)
 
 
-def _numeric_conjugate_value(base: YoungFunction, y: float, tol: float = 1e-10) -> float:
+def _numeric_conjugate_value(base: YoungFunction, y: float) -> float:
     """sup_{x>=0} {x*y - base(x)} by outward bracketing plus golden refinement.
 
     The bracket starts at 10x the last tabulated node (10.0 otherwise) and
@@ -228,22 +230,8 @@ def _numeric_conjugate_value(base: YoungFunction, y: float, tol: float = 1e-10) 
     else:
         return _INF
 
-    # golden-section maximization of the concave supremand on [0, hi]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, hi
-    x1 = b - inv * (b - a)
-    x2 = a + inv * (b - a)
-    g1, g2 = g(x1), g(x2)
-    while b - a > tol * max(1.0, b):
-        if g1 < g2:
-            a, x1, g1 = x1, x2, g2
-            x2 = a + inv * (b - a)
-            g2 = g(x2)
-        else:
-            b, x2, g2 = x2, x1, g1
-            x1 = b - inv * (b - a)
-            g1 = g(x1)
-    best = max(g1, g2, 0.0)
+    # the supremand is concave and 0 at x = 0, which the search includes
+    _, best = golden_max_interval(g, 0.0, hi, rel_xtol=1e-10)
     # piecewise-linear bases attain the sup at a node; include them exactly
     if base.xs is not None:
         node_vals = base.xs * y - base.eval_array(base.xs)

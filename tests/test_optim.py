@@ -1,0 +1,64 @@
+import math
+
+import numpy as np
+import pytest
+
+from kothe import FiniteProbSpace, Rv, entropic, evaluate_risk
+from kothe._optim import golden_max_interval, newton_gauge
+from kothe.risk import _entropic_arr
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 2.3, 3.0])
+@pytest.mark.parametrize("offset", [1e-100, 1.0, 1e100])
+def test_newton_gauge_power_matches_closed_form(p, offset):
+    # E c (a/beta)^p = 1 has the root beta = (E c a^p)^(1/p)
+    rng = np.random.default_rng(int(10 * p))
+    probs = rng.random(7) + 0.1
+    probs /= probs.sum()
+    a = rng.random(7) * 5.0
+    scale = 0.7
+    coef = probs * scale * a**p
+    exact = float(np.sum(coef)) ** (1.0 / p)
+    beta = newton_gauge(
+        lambda s: float(np.sum(coef * s**p)) - 1.0,
+        lambda s: float(np.sum(coef * p * s ** (p - 1.0))),
+        offset / exact,
+        1e-12,
+    )
+    assert beta == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.2, 1.0, 7.0])
+def test_newton_gauge_entropic_solves_the_modular_equation(theta):
+    rng = np.random.default_rng(3)
+    space = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.4]))
+    a = np.abs(rng.standard_normal(4)) * 3.0
+    probs = space.probs
+
+    def slope(s):
+        w = theta * s * a
+        e = probs * np.exp(w - w.max())
+        return float(np.dot(e, a) / e.sum())
+
+    beta = newton_gauge(lambda s: _entropic_arr(probs, s * a, theta) - 1.0, slope, 1.0, 1e-12)
+    assert evaluate_risk(space, entropic(theta), Rv(a / beta)) == pytest.approx(1.0, rel=1e-11)
+
+
+def test_golden_max_interval_finds_endpoint_maxima():
+    x, g = golden_max_interval(lambda t: -t, 2.0, 5.0)
+    assert (x, g) == (2.0, -2.0)
+    x, g = golden_max_interval(math.log, 1.0, 4.0)
+    assert (x, g) == (4.0, math.log(4.0))
+
+
+def test_golden_max_interval_tolerates_minus_infinity():
+    # -inf outside a window of a concave bump; the peak at 1.5 is interior
+    def g(t):
+        return -((t - 1.5) ** 2) if 1.0 <= t <= 2.5 else -math.inf
+
+    x, val = golden_max_interval(g, 0.0, 4.0, rel_xtol=1e-12)
+    assert x == pytest.approx(1.5, abs=1e-6)
+    assert val == pytest.approx(0.0, abs=1e-12)
+    # -inf everywhere but one endpoint
+    x, val = golden_max_interval(lambda t: 1.0 if t == 0.0 else -math.inf, 0.0, 1.0)
+    assert (x, val) == (0.0, 1.0)
