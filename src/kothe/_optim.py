@@ -120,8 +120,10 @@ def minimize_scalar_convex(
     """Minimize a quasiconvex f over (0, inf); f may be +inf near zero.
 
     Brackets the minimizer by doubling / halving from x0, then refines with
-    golden section.  When f decreases monotonically toward 0+ the infimum is
-    approached and the value at the smallest probed point is returned.
+    golden section until the bracket is narrower than tol times its upper
+    end, so the result does not depend on the scale of the minimizer.  When
+    f decreases monotonically toward 0+ the infimum is approached and the
+    value at the smallest probed point is returned.
     """
     x0 = max(x0, 1e-300)
     xm, fm = x0, f(x0)
@@ -134,23 +136,26 @@ def minimize_scalar_convex(
         raise ConvergenceError("objective is +inf on the whole probed range")
 
     hi, f_hi = xm, fm
-    while f(hi * 2.0) < f_hi:
+    while (f_next := f(hi * 2.0)) < f_hi:
         hi *= 2.0
-        f_hi = f(hi)
+        f_hi = f_next
         if hi > 1e280:
             raise ConvergenceError("objective keeps decreasing toward +inf")
     hi *= 2.0
 
     lo, f_lo = xm, fm
     shrink = 0
-    while f(lo / 2.0) < f_lo and shrink < _MAX_EXPAND:
+    while (f_next := f(lo / 2.0)) < f_lo and shrink < _MAX_EXPAND:
         lo /= 2.0
-        f_lo = f(lo)
+        f_lo = f_next
         shrink += 1
         if lo < 1e-290:
             return lo, f_lo  # infimum approached at 0+
+    if shrink:
+        hi = 2.0 * lo  # f rises from lo to 2 lo, so the minimizer lies below
     lo /= 2.0
-    return golden_min_interval(f, lo, hi, rel_xtol=tol)
+    # golden section stops at width rel_xtol * max(1, hi); this makes it tol * hi
+    return golden_min_interval(f, lo, hi, rel_xtol=tol * min(1.0, hi))
 
 
 def golden_max_interval(

@@ -182,8 +182,35 @@ def _lp_arr(probs: np.ndarray, x: np.ndarray, p: float) -> float:
         return float(a.max()) if a.size else 0.0
     if p == 1.0:
         return float(np.dot(probs, a))
-    with np.errstate(over="ignore"):
-        return float(np.dot(probs, a**p) ** (1.0 / p))
+    m = float(a.max()) if a.size else 0.0
+    if m == 0.0:
+        return 0.0
+    # m * (E (a/m)^p)^(1/p): no overflow or underflow at any scale of a
+    return m * float(np.dot(probs, (a / m) ** p)) ** (1.0 / p)
+
+
+def _power_gauge(
+    a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float
+) -> tuple[float, float, np.ndarray]:
+    """Solve sum(coef * (a/beta)**k) = 1 for beta, with a > 0 and k >= 1.
+
+    Returns (m, beta/m, w) with m = max a and w = coef * (a/m)**k.  In
+    t = m/beta the equation reads sum(w * t**k) = 1, whose left side is
+    increasing and convex, so the safeguarded Newton solves it.  Dividing a
+    by m keeps every term finite at any scale of a.  Newton starts just
+    above the root (sum w)**(-1/k_max) of the one-exponent equation, which
+    is the upper end of the bracket when all exponents agree.
+    """
+    m = float(a.max())
+    w = coef * (a / m) ** k
+    s0 = float(w.sum()) ** (-1.0 / float(k.max())) * (1.0 + 2.0**-20)
+    gamma = newton_gauge(
+        lambda s: float(np.dot(w, s**k)) - 1.0,
+        lambda s: float(np.dot(w * k, s ** (k - 1.0))),
+        s0,
+        rel_tol,
+    )
+    return m, gamma, w
 
 
 class LpNorm(Seminorm):
@@ -228,16 +255,11 @@ class LuxemburgNorm(Seminorm):
             return 0.0
         pw = self.family._pow_p  # type: ignore[attr-defined]
         if pw is not None:
-            # E Phi(s*a) = sum(c_i * s**p_i) with positive coefficients
+            # E Phi(a/beta) = sum(prob_i * scale_i * (a_i/beta)**p_i)
             mask = a > 0.0
-            p = pw[mask]
-            c = space.probs[mask] * self.family._pow_scale[mask] * a[mask] ** p  # type: ignore[attr-defined]
-            return newton_gauge(
-                lambda s: float(np.dot(c, s**p)) - 1.0,
-                lambda s: float(np.dot(c * p, s ** (p - 1.0))),
-                1.0 / float(a.max()),
-                tol.gauge_rel,
-            )
+            coef = space.probs[mask] * self.family._pow_scale[mask]  # type: ignore[attr-defined]
+            m, gamma, _ = _power_gauge(a[mask], coef, pw[mask], tol.gauge_rel)
+            return m * gamma
         hi0 = max(float(a.max()), 1e-12)
         return bisect_gauge(
             lambda b: self.family.modular(space.probs, a / b) <= 1.0,
@@ -421,7 +443,11 @@ def luxemburg_norm(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
-    """inf{beta > 0 : E Phi(|u|/beta) <= 1}, by bisection on the modular."""
+    """inf{beta > 0 : E Phi(|u|/beta) <= 1}.
+
+    Safeguarded Newton when every Phi is a power, bisection on the modular
+    otherwise.
+    """
     return LuxemburgNorm(family).value(space, u, tol=tol)
 
 
@@ -434,12 +460,20 @@ def _amemiya_arr(
     a = np.abs(z)
     if not np.any(a > 0.0):
         return 0.0
+    q = conj_family._pow_p  # type: ignore[attr-defined]
+    if q is not None and np.all(q > 1.0):
+        # sum(C_i * beta**(1 - q_i)) + beta with C_i = p_i * c_i * a_i**q_i is
+        # stationary where sum((q_i - 1) * C_i / beta**q_i) = 1, a power gauge
+        mask = a > 0.0
+        qm = q[mask]
+        coef = (qm - 1.0) * probs[mask] * conj_family._pow_scale[mask]  # type: ignore[attr-defined]
+        m, gamma, w = _power_gauge(a[mask], coef, qm, tol.gauge_rel)
+        return m * gamma * (float(np.dot(w / (qm - 1.0), gamma**-qm)) + 1.0)
 
     def objective(beta: float) -> float:
         return beta * conj_family.modular(probs, a / beta) + beta
 
-    x0 = max(float(np.dot(probs, a)), 1e-12)
-    _, value = minimize_scalar_convex(objective, x0=x0, tol=tol.golden)
+    _, value = minimize_scalar_convex(objective, x0=float(np.dot(probs, a)), tol=tol.golden)
     return value
 
 
@@ -452,8 +486,11 @@ def amemiya_dual_norm(
 ) -> float:
     """inf over beta of beta * E Phi*(|y|/beta) + beta.
 
-    One-dimensional convex minimization by bracketing plus golden section;
-    the reported number is the infimal value, not a minimizer.
+    When every Phi* is c * x**q with q > 1, the minimizer solves the
+    stationarity equation sum((q_i - 1) * p_i * c_i * (|y_i|/beta)**q_i) = 1
+    by the safeguarded Newton of the power Luxemburg gauge.  Other families
+    take a one-dimensional convex minimization by bracketing plus golden
+    section.  The reported number is the infimal value, not a minimizer.
     """
     _check_on_space(space, y, "y")
     if len(family) != space.n_atoms:

@@ -406,8 +406,7 @@ def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray
             a = _entropic_alpha_exact(space.probs, z / beta, rho.theta)
             return beta * a + beta
 
-        x0 = max(float(np.dot(space.probs, z)), 1e-12)
-        return minimize_scalar_convex(objective, x0=x0, tol=1e-12)[1]
+        return minimize_scalar_convex(objective, x0=float(np.dot(space.probs, z)), tol=1e-12)[1]
     return None
 
 
@@ -426,7 +425,7 @@ def _dual_inf_form(
         res = penalty(space, rho, Rv(z / beta), seed=seed)
         return beta * res.value + beta if res.bounded else _INF
 
-    x0 = max(float(np.dot(space.probs, z)), 1e-12)
+    x0 = float(np.dot(space.probs, z))
     # tight bracket: for 0/inf penalties the objective is beta on one side of
     # a jump, and the landing point should be exact to rounding
     return minimize_scalar_convex(objective, x0=x0, tol=1e-13)

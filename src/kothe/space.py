@@ -34,7 +34,7 @@ class Tolerances:
 
     linear:    absolute tolerance for identities exact up to rounding
     gauge_rel: relative bracket width at which gauge bisections stop
-    golden:    absolute tolerance of one-dimensional golden-section searches
+    golden:    relative bracket width at which the Amemiya minimization stops
     """
 
     linear: float = 1e-12

@@ -25,10 +25,12 @@ from kothe import (
     phi_sqrt,
     phi_tabulated,
     quantile,
+    young_exponential,
     young_indicator_ball,
     young_power,
     young_power_over_p,
 )
+from kothe._optim import minimize_scalar_convex
 from kothe.norms import (
     CustomSeminorm,
     LorentzNorm,
@@ -328,3 +330,100 @@ def test_phi_concave_validation():
         phi_tabulated([0.0, 0.4, 1.0], [0.0, 0.1, 1.0])  # convex, not concave
     phi = phi_tabulated([0.0, 0.5, 1.0], [0.0, 0.8, 1.0])
     assert phi(0.25) == pytest.approx(0.4)
+
+
+# ---------------------------------------------------------------------------
+# power gauges: scale-free, and the Amemiya dual by its stationarity equation
+
+NONUNIFORM4 = FiniteProbSpace(np.array([0.1, 0.2, 0.3, 0.4]))
+Y4 = np.array([0.5, -2.0, 1.5, 0.25])
+MIXED4 = MusielakFamily(
+    (young_power(3.0, 0.5), young_power(2.0), young_power_over_p(2.5), young_power(1.5, 2.0))
+)
+CUBIC4 = MusielakFamily.constant(young_power(3.0), 4)
+EXP4 = MusielakFamily.constant(young_exponential(), 4)
+SCALES = [1e-200, 1e-100, 1e-20, 1e20, 1e100, 1e200]
+
+
+def _amemiya_oracle(space, y, family):
+    """The minimize_scalar_convex route that the power families used before."""
+    conj = family.conjugate()
+    a = np.abs(y)
+
+    def objective(beta):
+        return beta * conj.modular(space.probs, a / beta) + beta
+
+    return minimize_scalar_convex(objective, x0=float(np.dot(space.probs, a)), tol=1e-9)[1]
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize(
+    "kind", ["lp", "luxemburg_cubic", "luxemburg_mixed", "amemiya_const", "amemiya_mixed", "amemiya_exp"]
+)
+def test_norms_are_homogeneous_across_scales(kind, scale):
+    fn = {
+        "lp": lambda y: lp_norm(NONUNIFORM4, Rv(y), 3.0),
+        "luxemburg_cubic": lambda y: luxemburg_norm(NONUNIFORM4, Rv(y), CUBIC4),
+        "luxemburg_mixed": lambda y: luxemburg_norm(NONUNIFORM4, Rv(y), MIXED4),
+        "amemiya_const": lambda y: amemiya_dual_norm(NONUNIFORM4, Rv(y), CUBIC4),
+        "amemiya_mixed": lambda y: amemiya_dual_norm(NONUNIFORM4, Rv(y), MIXED4),
+        # golden-section route: its stopping width is relative to the bracket
+        "amemiya_exp": lambda y: amemiya_dual_norm(NONUNIFORM4, Rv(y), EXP4),
+    }[kind]
+    assert fn(Y4 * scale) / scale == pytest.approx(fn(Y4), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.2, 2.0, 2.3, 3.0, 6.0])
+def test_power_amemiya_equals_conjugate_lp(p):
+    # for Phi = x^p the Amemiya (Orlicz) norm is exactly the L^q norm
+    rng = np.random.default_rng(int(10 * p))
+    q = p / (p - 1.0)
+    for n in (1, 3, 7):
+        probs = rng.random(n) + 0.1
+        space = FiniteProbSpace(probs / probs.sum())
+        y = Rv(rng.standard_normal(n) * 10 ** rng.uniform(-2, 2))
+        fam = MusielakFamily.constant(young_power(p), n)
+        assert amemiya_dual_norm(space, y, fam) == pytest.approx(lp_norm(space, y, q), rel=1e-12)
+
+
+def test_mixed_power_amemiya_matches_minimizer_oracle(monkeypatch):
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(30):
+        n = int(rng.integers(1, 9))
+        probs = rng.random(n) + 0.1
+        space = FiniteProbSpace(probs / probs.sum())
+        fam = MusielakFamily(
+            tuple(young_power(float(rng.uniform(1.05, 5.0)), float(rng.uniform(0.1, 4.0))) for _ in range(n))
+        )
+        y = rng.standard_normal(n) * 10 ** rng.uniform(-1, 1)
+        cases.append((space, y, fam, _amemiya_oracle(space, y, fam)))
+
+    # the all-power route solves the stationarity equation and never minimizes
+    def refuse(*args, **kwargs):
+        raise AssertionError("power families must not take the golden route")
+
+    monkeypatch.setattr("kothe.norms.minimize_scalar_convex", refuse)
+    for space, y, fam, expected in cases:
+        assert amemiya_dual_norm(space, Rv(y), fam) == pytest.approx(expected, rel=1e-10)
+
+
+def test_linear_conjugate_families_keep_the_generic_route(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return minimize_scalar_convex(*args, **kwargs)
+
+    monkeypatch.setattr("kothe.norms.minimize_scalar_convex", counting)
+    y = Rv(Y4)
+    # indicator ball of radius 1.5: the conjugate is 1.5 x, the infimum 1.5 E|y|
+    ball = MusielakFamily.constant(young_indicator_ball(1.5), 4)
+    assert amemiya_dual_norm(NONUNIFORM4, y, ball) == pytest.approx(1.5, rel=1e-15)
+    # Phi = 2x: the conjugate is the ball of radius 2, the minimum max|y| / 2
+    linear = MusielakFamily.constant(young_power(1.0, 2.0), 4)
+    assert amemiya_dual_norm(NONUNIFORM4, y, linear) == pytest.approx(1.0, rel=1e-9)
+    mixed = MusielakFamily((young_power(1.0, 2.0), young_power(2.0), young_power(3.0, 0.5), young_power(1.5)))
+    expected = _amemiya_oracle(NONUNIFORM4, Y4, mixed)
+    assert amemiya_dual_norm(NONUNIFORM4, y, mixed) == pytest.approx(expected, rel=1e-15)
+    assert len(calls) == 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kothe import FiniteProbSpace, Rv, entropic, evaluate_risk
-from kothe._optim import golden_max_interval, newton_gauge
+from kothe._optim import golden_max_interval, minimize_scalar_convex, newton_gauge
 from kothe.risk import _entropic_arr
 
 
@@ -62,3 +62,15 @@ def test_golden_max_interval_tolerates_minus_infinity():
     # -inf everywhere but one endpoint
     x, val = golden_max_interval(lambda t: 1.0 if t == 0.0 else -math.inf, 0.0, 1.0)
     assert (x, val) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "c, x0",
+    [(c, 1.0) for c in (1e-100, 1e-20, 1e-3, 1.0, 1e20, 1e100)]
+    + [(c, 0.3 * c) for c in (1e-200, 1e200)],
+)
+def test_minimize_scalar_convex_is_scale_free(c, x0):
+    # x + c^2/x is minimized at c with value 2c; the stopping width is relative
+    x, val = minimize_scalar_convex(lambda x: x + c * (c / x), x0=x0, tol=1e-9)
+    assert x / c == pytest.approx(1.0, rel=1e-6)
+    assert val / c == pytest.approx(2.0, rel=1e-12)

@@ -256,3 +256,21 @@ def test_avar_penalty_and_dual_gauge_match_subset_enumeration(case, scale):
     ]
     assert 0.0 < grow[0] < grow[1] < grow[2]
     assert grow[2] == pytest.approx(4.0 * grow[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e20, 1e100])
+def test_entropic_dual_gauge_is_scale_free(scale):
+    space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
+    y = np.array([0.3, 1.2, 2.0])
+    base = dual_gauge_exact(space, entropic(1.0), y)
+    assert dual_gauge_exact(space, entropic(1.0), y * scale) / scale == pytest.approx(base, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_risk_dual_norm_is_scale_free(scale):
+    space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
+    y = np.array([0.3, 1.2, 2.0])
+    base = risk_dual_norm(space, entropic(1.0), Rv(y))
+    scaled = risk_dual_norm(space, entropic(1.0), Rv(y * scale))
+    assert scaled.value / scale == pytest.approx(base.value, rel=1e-9)
+    assert scaled.beta / scale == pytest.approx(base.beta, rel=1e-6)
