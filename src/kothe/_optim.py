@@ -24,6 +24,7 @@ __all__ = [
     "prefix_indicators",
     "MaximizeResult",
     "maximize_linear_on_ball",
+    "maximize_linear_on_polytope",
 ]
 
 _INF = math.inf
@@ -31,6 +32,15 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_EXPAND = 400
 # line-search tolerances: coarse first, full precision once a pass stalls
 _XTOLS = (3e-5, 3e-7, 3e-9, 3e-11)
+# cutting planes: stop at this relative bracket width, or after this many cuts
+_KELLEY_GAP = 1e-12
+_KELLEY_ITERS = 500
+# simplex: smallest usable pivot element, smallest reduced cost worth a
+# pivot (costs are scaled to max 1), and pivots per solve
+_PIVOT_TOL = 1e-9
+_COST_TOL = 1e-13
+_PIVOT_CAP = 500
+_VANISHING = "the seminorm vanishes along a direction with positive pairing; the polar value is +inf"
 
 
 class ConvergenceError(RuntimeError):
@@ -85,19 +95,21 @@ def newton_gauge(
     the root lies above 1e300 and +inf when it lies below 1e-300.
     """
     hi = s0
-    while g(hi) < 0.0:
+    g_hi = g(hi)
+    while g_hi < 0.0:
         hi *= 2.0
         if hi > 1e300:
             return 0.0
+        g_hi = g(hi)
     lo = hi / 2.0
-    while g(lo) > 0.0:
-        hi = lo
+    while (g_lo := g(lo)) > 0.0:
+        hi, g_hi = lo, g_lo
         lo /= 2.0
         if lo < 1e-300:
             return _INF
-    s = hi
+    # the first Newton step reuses g(hi) from the bracketing loops
+    s, val = hi, g_hi
     for _ in range(100):
-        val = g(s)
         if val > 0.0:
             hi = s
         else:
@@ -108,6 +120,7 @@ def newton_gauge(
         if abs(nxt - s) <= rel_tol * s:
             return 1.0 / nxt
         s = nxt
+        val = g(s)
     return 1.0 / s
 
 
@@ -238,6 +251,7 @@ class MaximizeResult:
     x: np.ndarray
     converged: bool
     n_evals: int
+    upper: float | None = None  # a certified bound on the maximum, when one is known
 
 
 def minimize_convex_on_orthant(
@@ -390,10 +404,7 @@ def maximize_linear_on_ball(
         evals += 1
         if nrm <= 0.0:
             if float(np.dot(c, w)) > 1e-12 * max(1.0, float(np.abs(w).max())):
-                raise ValueError(
-                    "the seminorm vanishes along a direction with positive pairing; "
-                    "the polar value is +inf"
-                )
+                raise ValueError(_VANISHING)
             return -_INF, nrm
         if math.isinf(nrm):
             return 0.0, nrm
@@ -504,3 +515,213 @@ def maximize_linear_on_ball(
         return MaximizeResult(0.0, np.zeros(n), False, evals)
     x = overall_w / nrm
     return MaximizeResult(float(np.dot(c, x)), x, converged, evals)
+
+
+def _pivot(tab: np.ndarray, basis: np.ndarray, r: int, j: int) -> None:
+    tab[r] /= tab[r, j]
+    col = tab[:, j].copy()
+    col[r] = 0.0
+    tab -= np.outer(col, tab[r])
+    basis[r] = j
+
+
+def _min_ratio(cands: np.ndarray, num: np.ndarray, den: np.ndarray) -> int:
+    """The candidate with the smallest num/den; ties go to the largest den."""
+    ratios = num / den
+    tied = ratios <= ratios.min() * (1.0 + 1e-12)
+    return int(cands[tied][np.argmax(den[tied])])
+
+
+def _primal_simplex(tab: np.ndarray, basis: np.ndarray) -> None:
+    """Primal pivots to optimality from a feasible basis (nonnegative rhs).
+
+    Bland's rule picks the entering column, min-ratio ties go to the largest
+    pivot element, pivots below _PIVOT_TOL are refused, and rounding never
+    leaves a negative right-hand side.  Raises ValueError when the LP is
+    unbounded, which happens only for a seminorm that vanishes along a
+    direction with positive pairing.
+    """
+    m = basis.size
+    for _ in range(_PIVOT_CAP):
+        entering = np.flatnonzero(tab[m, :-1] < -_COST_TOL)
+        if entering.size == 0:
+            return
+        j = int(entering[0])
+        rows = np.flatnonzero(tab[:m, j] > _PIVOT_TOL)
+        if rows.size == 0:
+            raise ValueError(_VANISHING)
+        _pivot(tab, basis, _min_ratio(rows, tab[rows, -1], tab[rows, j]), j)
+        np.maximum(tab[:m, -1], 0.0, out=tab[:m, -1])
+
+
+def _dual_simplex(tab: np.ndarray, basis: np.ndarray) -> bool:
+    """Dual pivots from an optimal basis that a new cut made infeasible.
+
+    The most negative right-hand side leaves; the entering column keeps the
+    reduced costs nonnegative (min ratio, ties to the largest pivot).
+    Returns False when no pivot is usable or the budget runs out.
+    """
+    m = basis.size
+    for _ in range(_PIVOT_CAP):
+        r = int(np.argmin(tab[:m, -1]))
+        if tab[r, -1] >= -1e-12:
+            np.maximum(tab[:m, -1], 0.0, out=tab[:m, -1])
+            return True
+        cols = np.flatnonzero(tab[r, :-1] < -_PIVOT_TOL)
+        if cols.size == 0:
+            return False
+        _pivot(tab, basis, r, _min_ratio(cols, np.maximum(tab[m, cols], 0.0), -tab[r, cols]))
+    return False
+
+
+def _tableau(f: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max f.d subject to a @ d <= 1, d >= 0, with one slack per row.
+
+    The origin is a feasible basis because every right-hand side is 1, so
+    no phase 1 is needed.  The last row holds the reduced costs.
+    """
+    m, n = a.shape
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = a
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = 1.0
+    tab[m, :n] = -f
+    return tab, np.arange(n, n + m)
+
+
+def _refactor(f: np.ndarray, a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The tableau of this basis computed afresh from the data, which clears
+    the rounding that pivots accumulate."""
+    m, n = a.shape
+    full = np.hstack([a, np.eye(m), np.ones((m, 1))])
+    cost = np.concatenate([f, np.zeros(m + 1)])
+    rows = np.linalg.solve(full[:, basis], full)
+    tab = np.vstack([rows, cost[basis] @ rows - cost])
+    np.maximum(tab[:m, -1], 0.0, out=tab[:m, -1])
+    return tab
+
+
+def _add_cut(tab: np.ndarray, basis: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Append the row g.d <= 1 with its own slack, written in the current basis."""
+    m, width = basis.size, tab.shape[1]
+    out = np.zeros((m + 2, width + 1))
+    out[:m, : width - 1] = tab[:m, :-1]
+    out[:m, -1] = tab[:m, -1]
+    out[m + 1, : width - 1] = tab[m, :-1]
+    out[m + 1, -1] = tab[m, -1]
+    row = np.zeros(width + 1)
+    row[: g.size] = g
+    row[width - 1] = 1.0
+    row[-1] = 1.0
+    out[m] = row - row[basis] @ out[:m]
+    return out, np.append(basis, width - 1)
+
+
+def _lp_point(tab: np.ndarray, basis: np.ndarray, f: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The primal point of the basis, and an upper bound on the LP value.
+
+    The bound comes from the dual: the slack columns of the last row hold
+    multipliers y.  For any y >= 0 and any feasible d, f.d = (f - a^T y).d
+    + y.(a d) <= sum(y) + sum_j max(0, f_j - (a^T y)_j) / max_i a_ij,
+    because each d_j <= 1 / max_i a_ij.  So the bound holds even when the
+    pivots were inexact, and rounding in y only adds its own size to it.
+    """
+    m, n = a.shape
+    x = np.zeros(tab.shape[1] - 1)
+    x[basis] = tab[:m, -1]
+    y = np.maximum(tab[m, n : n + m], 0.0)
+    short = f - a.T @ y
+    over = short > 0.0
+    reach = a.max(axis=0)[over]
+    if np.any(reach <= 0.0):
+        return x[:n], _INF
+    return x[:n], float(y.sum()) + float(np.sum(short[over] / reach))
+
+
+def maximize_linear_on_polytope(
+    c: np.ndarray,
+    norm_fn: Callable[[np.ndarray], float],
+    facet_fn: Callable[[np.ndarray], np.ndarray | None],
+    *,
+    monotone: bool,
+    starts: Sequence[np.ndarray],
+) -> MaximizeResult | None:
+    """Maximize <c, w> over {w in cone : norm_fn(w) <= 1} for a polyhedral ball.
+
+    facet_fn(a) returns, for a >= 0, a vector g >= 0 from a finite set with
+    g.a = norm_fn(a) and g.x <= norm_fn(x) for every x >= 0, or None when
+    the seminorm has no such pieces (then this returns None).  Kelley's
+    cutting-plane method (1960) maximizes over {w : g.w <= 1 for the cuts so
+    far}, a relaxation of the ball, so each LP value bounds the maximum from
+    above; the LP point w scaled to w / norm_fn(w) is feasible and bounds it
+    from below; and the facet at w cuts w off until the two meet.  The
+    facets are finite, so this stops at the exact optimum.
+
+    c >= 0.  cone is the nonnegative orthant, or with ``monotone`` the
+    nonincreasing cone, written as w_i = sum_{j >= i} d_j over increments
+    d >= 0 so that it is again an orthant.  The first cuts are the facets at
+    ``starts``; the unit vectors (the prefix indicators with ``monotone``)
+    among them give every variable a positive coefficient, so the first LP
+    is bounded.  Each later LP starts from the previous optimal basis (dual
+    simplex on the new row).  c is divided by max(c), so the stopping width
+    does not depend on its scale.  Stops when the certified bound is within
+    _KELLEY_GAP of the best value; after _KELLEY_ITERS cuts, or when rounding
+    leaves a gap that no cut closes, the result says converged=False.
+    n_evals counts seminorm and facet evaluations.
+    """
+    n = c.size
+    scale = float(c.max())
+    f = c / scale
+    if monotone:
+        f = np.cumsum(f)
+
+    def cut(w: np.ndarray) -> np.ndarray | None:
+        g = facet_fn(w)
+        if g is None or not monotone:
+            return g
+        return np.cumsum(g)
+
+    first = cut(starts[0])
+    if first is None:
+        return None
+    a = np.array([first] + [cut(w) for w in starts[1:]])
+    tab, basis = _tableau(f, a)
+    _primal_simplex(tab, basis)
+    evals = len(starts)
+    best_val, best_x, upper = -_INF, np.zeros(n), _INF
+    converged = False
+    fresh = True
+    for _ in range(_KELLEY_ITERS):
+        d, bound = _lp_point(tab, basis, f, a)
+        upper = min(upper, bound)
+        w = np.cumsum(d[::-1])[::-1] if monotone else d
+        nrm = norm_fn(w)
+        evals += 1
+        if nrm <= 0.0:
+            raise ValueError(_VANISHING)
+        x = w / nrm
+        val = float(np.dot(c, x))
+        if val > best_val:
+            best_val, best_x = val, x
+        if upper * scale - best_val <= _KELLEY_GAP * upper * scale:
+            converged = True
+            break
+        g = cut(w)
+        evals += 1
+        if float(np.dot(g, d)) <= 1.0 + 1e-12:
+            # no cut separates the LP point, so only rounding in the tableau
+            # keeps the bound loose: solve afresh once, then give up
+            if fresh:
+                break
+            tab = _refactor(f, a, basis)
+            _primal_simplex(tab, basis)
+            fresh = True
+            continue
+        a = np.vstack([a, g])
+        # the old optimum stays dual feasible after a new row
+        tab, basis = _add_cut(tab, basis, g)
+        fresh = not _dual_simplex(tab, basis)
+        if fresh:
+            tab, basis = _tableau(f, a)
+        _primal_simplex(tab, basis)
+    return MaximizeResult(best_val, best_x, converged, evals, max(upper * scale, best_val))

@@ -2,10 +2,12 @@
 
 The polar of a seminorm at y is the supremum of E[u*y] over the unit ball.
 It is computed here without closed forms: by a comonotone reduction for
-rearrangement-invariant seminorms on uniform spaces, by projected-subgradient
-ascent with line-search polishing in general, and by sign/permutation
-enumeration on very small spaces.  Closed-form duals, where registered, only
-provide certificates (the ``gap`` field), never the returned value.
+rearrangement-invariant seminorms on uniform spaces, then by Kelley cutting
+planes on the analytic facets of the polyhedral families (exact, with a
+certified upper bound) or by projected-subgradient ascent with line-search
+polishing for the others, and by sign/permutation enumeration on very small
+spaces.  Closed-form duals, where registered, only provide certificates (the
+``gap`` field), never the returned value.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import maximize_linear_on_ball
+from ._optim import maximize_linear_on_ball, maximize_linear_on_polytope, prefix_indicators
 from .norms import (
     CustomSeminorm,
     GenOrliczNorm,
@@ -31,7 +33,14 @@ from .norms import (
     check_axioms,
     gen_orlicz_dual_norm,
 )
-from .risk import RiskMeasureSpec, dual_gauge_exact, penalty_gauge, _dual_inf_form
+from .risk import (
+    RiskMeasureSpec,
+    _avar_dual_facet,
+    _avar_dual_gauge_exact,
+    _dual_inf_form,
+    dual_gauge_exact,
+    penalty_gauge,
+)
 from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space, pairing
 from .young import MusielakFamily
 
@@ -57,8 +66,12 @@ class PolarResult:
     """Value and witness of the polar supremum.
 
     The maximizer is feasible (seminorm at most 1 + 1e-9) and attains the
-    value; gap is the shortfall against an independent bound (a registered
-    closed form) and 0 when no such bound exists.
+    value.  gap is the shortfall against a registered closed form, and 0.0
+    both when the closed form confirms the value and when there is none, so
+    it alone does not tell a certified value from an uncertified one.  upper
+    does: it is a certified upper bound on the polar (the final cutting-plane
+    LP value, for polyhedral unit balls), and None when the line-search
+    optimizer ran, which carries no bound.
     """
 
     value: float
@@ -66,6 +79,7 @@ class PolarResult:
     method: str
     gap: float
     converged: bool
+    upper: float | None = None
 
 
 # atom-probability keys of the spaces each seminorm has passed the spot check on
@@ -107,7 +121,11 @@ def polar(
     By solidity and symmetry the optimal u has u_i * y_i >= 0 and depends on
     y only through |y|, so the search runs over the nonnegative orthant; on
     uniform spaces with a rearrangement-invariant spec it further restricts
-    to nonincreasing profiles comonotone with |y| sorted.  ``enumerate_full``
+    to nonincreasing profiles comonotone with |y| sorted.  Specs with a
+    ``linear_piece_arr`` (L1, Linf, Marcinkiewicz, Lorentz, the avar risk
+    norm and the avar dual gauge) are solved exactly by Kelley cutting
+    planes; the budget parameters only act on the line-search optimizer that
+    serves the rest.  ``enumerate_full``
     re-evaluates the seminorm on every signed permutation of the best profile
     (small spaces only); by default a permutation sweep without re-evaluation
     runs for invariant specs on up to six atoms.
@@ -118,57 +136,69 @@ def polar(
     n = space.n_atoms
     z = y.values
     if not np.any(z != 0.0):
-        return PolarResult(0.0, Rv.zero(n), "exact-comonotone", 0.0, True)
+        return PolarResult(0.0, Rv.zero(n), "exact-comonotone", 0.0, True, 0.0)
 
     def norm_fn(w: np.ndarray) -> float:
         return spec._value_arr(space, w, tol)
 
-    rng = np.random.default_rng(seed)
+    def facet_fn(w: np.ndarray) -> np.ndarray | None:
+        return spec.linear_piece_arr(space, w)
+
     ri_uniform = spec.rearrangement_invariant and space.is_uniform
     if strategy == "comonotone" and not ri_uniform:
         raise ValueError("the comonotone strategy needs an invariant spec on a uniform space")
     use_comonotone = ri_uniform and strategy in ("auto", "comonotone")
+    order = np.argsort(-np.abs(z), kind="stable")
+    zd = np.abs(z)[order]
+    budget = {"max_passes": max_passes} if max_passes is not None else {}
 
     if use_comonotone:
-        order = np.argsort(-np.abs(z), kind="stable")
-        zd = np.abs(z)[order]
         c = space.probs[order] * zd
-        hints = spec.polar_start_profiles(space, zd)
-        kwargs = dict(
-            n_random_starts=3 if n_random_starts is None else n_random_starts,
-            subgrad_iters=20 + 5 * n if subgrad_iters is None else subgrad_iters,
+        res = maximize_linear_on_polytope(
+            c, norm_fn, facet_fn, monotone=True, starts=prefix_indicators(n)
         )
-        if max_passes is not None:
-            kwargs["max_passes"] = max_passes
-        res = maximize_linear_on_ball(
-            c, norm_fn, monotone=True, rng=rng, extra_starts=hints, **kwargs
-        )
+        if res is None:
+            res = maximize_linear_on_ball(
+                c,
+                norm_fn,
+                monotone=True,
+                rng=np.random.default_rng(seed),
+                extra_starts=spec.polar_start_profiles(space, zd),
+                n_random_starts=3 if n_random_starts is None else n_random_starts,
+                subgrad_iters=20 + 5 * n if subgrad_iters is None else subgrad_iters,
+                **budget,
+            )
         u_vals = np.empty(n)
         u_vals[order] = res.x
         u_vals *= np.sign(z)
         method = "comonotone"
-        profile = res.x
     else:
         c = space.probs * np.abs(z)
-        order = np.argsort(-np.abs(z), kind="stable")
-        hints = []
-        for h in spec.polar_start_profiles(space, np.abs(z)[order]):
-            # profiles come nonincreasing; lay them comonotone with |y|
-            arranged = np.empty(n)
-            arranged[order] = np.sort(np.abs(h))[::-1]
-            hints.append(arranged)
-        kwargs = dict(
-            n_random_starts=20 if n_random_starts is None else n_random_starts,
-            subgrad_iters=15 + 4 * n if subgrad_iters is None else subgrad_iters,
-        )
-        if max_passes is not None:
-            kwargs["max_passes"] = max_passes
-        res = maximize_linear_on_ball(
-            c, norm_fn, monotone=False, rng=rng, extra_starts=hints, **kwargs
-        )
+        # unit vectors bound every variable; the top-k sets of |y| carry the
+        # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
+        rank = np.argsort(order)
+        starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
+        res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=False, starts=starts)
+        if res is None:
+            hints = []
+            for h in spec.polar_start_profiles(space, zd):
+                # profiles come nonincreasing; lay them comonotone with |y|
+                arranged = np.empty(n)
+                arranged[order] = np.sort(np.abs(h))[::-1]
+                hints.append(arranged)
+            res = maximize_linear_on_ball(
+                c,
+                norm_fn,
+                monotone=False,
+                rng=np.random.default_rng(seed),
+                extra_starts=hints,
+                n_random_starts=20 if n_random_starts is None else n_random_starts,
+                subgrad_iters=15 + 4 * n if subgrad_iters is None else subgrad_iters,
+                **budget,
+            )
         u_vals = np.sign(z) * res.x
         method = "subgradient"
-        profile = res.x
+    profile = res.x
 
     value = res.value
     converged = res.converged
@@ -210,7 +240,26 @@ def polar(
 
     closed = spec.dual_value_arr(space, z, tol)
     gap = max(0.0, closed - value) if closed is not None else 0.0
-    return PolarResult(value, Rv(u_vals), method, gap, converged)
+    upper = None if res.upper is None else max(res.upper, value)
+    return PolarResult(value, Rv(u_vals), method, gap, converged, upper)
+
+
+class _AvarDualNorm(Seminorm):
+    """The dual norm of the avar(t) risk norm: max over atom sets S of
+    t * E[|z| 1_S] / min(P(S), t), a polyhedral gauge whose facets are
+    those set bounds."""
+
+    rearrangement_invariant = True
+    name = "risk-dual"
+
+    def __init__(self, level: float):
+        self.level = level
+
+    def _value_arr(self, space, x, tol):
+        return _avar_dual_gauge_exact(space.probs, x, self.level)
+
+    def linear_piece_arr(self, space, a):
+        return _avar_dual_facet(space.probs, a, self.level)
 
 
 def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
@@ -234,7 +283,9 @@ def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
             rearrangement_invariant=spec.rearrangement_invariant,
             name="amemiya-dual",
         )
-    if isinstance(spec, RiskNorm) and spec.rho.kind in ("avar", "entropic"):
+    if isinstance(spec, RiskNorm) and spec.rho.kind == "avar":
+        return _AvarDualNorm(spec.rho.level)
+    if isinstance(spec, RiskNorm) and spec.rho.kind == "entropic":
         rho = spec.rho
 
         def risk_fn(sp: FiniteProbSpace, x: np.ndarray, _rho=rho) -> float:

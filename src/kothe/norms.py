@@ -1,10 +1,10 @@
 """The seminorm families and their axioms checker.
 
 Each family is a small class with a shared interface: evaluation on a random
-variable, an optional closed-form dual, and optional starting profiles for
-the polar optimizer.  Free functions mirror the class API for the common
-cases.  The axiom checker is randomized and report-only; it never mutates
-the spec it inspects.
+variable, an optional closed-form dual, and for the polar optimizer either
+analytic facets (polyhedral families) or optional starting profiles.  Free
+functions mirror the class API for the common cases.  The axiom checker is
+randomized and report-only; it never mutates the spec it inspects.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ._optim import (
     newton_gauge,
     prefix_indicators,
 )
-from .risk import RiskMeasureSpec, _risk_norm_arr
+from .risk import RiskMeasureSpec, _avar_density, _risk_norm_arr
 from .space import (
     DEFAULT_TOL,
     CheckItem,
@@ -160,8 +160,18 @@ class Seminorm(abc.ABC):
         """Closed-form dual norm when one is known and valid on this space."""
         return None
 
+    def linear_piece_arr(self, space: FiniteProbSpace, a: np.ndarray) -> np.ndarray | None:
+        """The linear piece of a polyhedral seminorm that is active at a >= 0.
+
+        Returns g >= 0, drawn from a finite set, with g.a = seminorm(a) and
+        g.x <= seminorm(x) for every x >= 0: a facet of the unit ball on the
+        orthant.  The polar solves these families exactly by cutting planes.
+        None for families whose unit ball is not a polytope.
+        """
+        return None
+
     def polar_start_profiles(self, space: FiniteProbSpace, z: np.ndarray) -> list[np.ndarray]:
-        """Optional starting profiles for the polar optimizer."""
+        """Optional starting profiles for the line-search polar optimizer."""
         return []
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -229,13 +239,16 @@ class LpNorm(Seminorm):
     def dual_value_arr(self, space, z, tol):
         return _lp_arr(space.probs, z, _conjugate_exponent(self.p))
 
-    def polar_start_profiles(self, space, z):
-        if math.isinf(self.p):
-            return [np.ones(z.size)]
+    def linear_piece_arr(self, space, a):
         if self.p == 1.0:
-            spike = np.zeros(z.size)
-            spike[0] = 1.0
-            return [spike]
+            return space.probs
+        if math.isinf(self.p):
+            g = np.zeros(a.size)
+            g[int(np.argmax(a))] = 1.0
+            return g
+        return None
+
+    def polar_start_profiles(self, space, z):
         return [np.abs(z) ** (1.0 / (self.p - 1.0))]
 
 
@@ -260,10 +273,11 @@ class LuxemburgNorm(Seminorm):
             coef = space.probs[mask] * self.family._pow_scale[mask]  # type: ignore[attr-defined]
             m, gamma, _ = _power_gauge(a[mask], coef, pw[mask], tol.gauge_rel)
             return m * gamma
-        hi0 = max(float(a.max()), 1e-12)
-        return bisect_gauge(
+        # the gauge is positively homogeneous: bisect on a / max(a) at any scale
+        m = float(a.max())
+        a = a / m
+        return m * bisect_gauge(
             lambda b: self.family.modular(space.probs, a / b) <= 1.0,
-            hi0=hi0,
             rel_tol=tol.gauge_rel,
         )
 
@@ -274,8 +288,11 @@ class LuxemburgNorm(Seminorm):
         return [np.abs(z)]
 
 
-def _breakpoint_data(probs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plateau levels, breakpoints (ending at 1) and running integrals there.
+def _breakpoint_data(
+    probs: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stable descending order of |x|, with the plateau levels, breakpoints
+    (ending at 1) and running integrals along it.
 
     Ties are left unmerged: the running integral and any evaluation at the
     extra breakpoints are unchanged by merging, and skipping it is cheaper.
@@ -287,7 +304,7 @@ def _breakpoint_data(probs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.n
     bp = np.cumsum(weights)
     bp[-1] = 1.0
     integrals = np.cumsum(levels * weights)
-    return levels, bp, integrals
+    return order, levels, bp, integrals
 
 
 class MarcinkiewiczNorm(Seminorm):
@@ -312,27 +329,45 @@ class MarcinkiewiczNorm(Seminorm):
             return None
         return _lorentz_arr(space.probs, z, self.phi)
 
-    def polar_start_profiles(self, space, z):
-        cum = np.concatenate([[0.0], np.cumsum(np.sort(space.probs)[::-1])])
-        cum[-1] = 1.0
-        inc = np.diff(self.phi(cum)) / np.diff(cum)
-        return [np.maximum(inc, 0.0)]
+    def linear_piece_arr(self, space, a):
+        # E[|x| 1_S] / phi(P(S)) <= the norm for every atom set S (the top
+        # P(S) of the rearrangement carries at least E[|x| 1_S]); the
+        # maximizing top-k set attains it
+        order, _, bp, integrals = _breakpoint_data(space.probs, a)
+        weights = _phi_weights(self.phi, bp)
+        k = int(np.argmax(integrals / weights))
+        g = np.zeros(a.size)
+        top = order[: k + 1]
+        g[top] = space.probs[top] / weights[k]
+        return g
+
+
+def _phi_weights(phi: PhiConcave, bp: np.ndarray) -> np.ndarray:
+    weights = phi._eval(bp)
+    if np.any(weights <= 0.0):
+        raise ValueError("phi must be positive on (0, 1]")
+    return weights
 
 
 def _marcinkiewicz_arr(probs: np.ndarray, x: np.ndarray, phi: PhiConcave) -> float:
     if not np.any(np.abs(x) > 0.0):
         return 0.0
-    _, bp, integrals = _breakpoint_data(probs, x)
-    weights = phi._eval(bp)
-    if np.any(weights <= 0.0):
-        raise ValueError("phi must be positive on (0, 1]")
-    return float((integrals / weights).max())
+    _, _, bp, integrals = _breakpoint_data(probs, x)
+    return float((integrals / _phi_weights(phi, bp)).max())
+
+
+def _lorentz_increments(
+    probs: np.ndarray, x: np.ndarray, phi: PhiConcave
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable descending order of |x|, its levels, and the phi increments
+    phi(T_j) - phi(T_{j-1}) at the running masses T_j along it."""
+    order, levels, bp, _ = _breakpoint_data(probs, x)
+    return order, levels, np.diff(phi._eval(np.concatenate([[0.0], bp])))
 
 
 def _lorentz_arr(probs: np.ndarray, x: np.ndarray, phi: PhiConcave) -> float:
-    levels, bp, _ = _breakpoint_data(probs, x)
-    edges = phi._eval(np.concatenate([[0.0], bp]))
-    return float(np.dot(levels, np.diff(edges)))
+    _, levels, inc = _lorentz_increments(probs, x, phi)
+    return float(np.dot(levels, inc))
 
 
 class LorentzNorm(Seminorm):
@@ -352,8 +387,13 @@ class LorentzNorm(Seminorm):
             return None
         return _marcinkiewicz_arr(space.probs, z, self.phi)
 
-    def polar_start_profiles(self, space, z):
-        return prefix_indicators(z.size)
+    def linear_piece_arr(self, space, a):
+        # the norm is the Lovasz extension of the submodular S -> phi(P(S)),
+        # so it is the largest of the greedy vectors, one per atom order
+        order, _, inc = _lorentz_increments(space.probs, a, self.phi)
+        g = np.empty(a.size)
+        g[order] = inc
+        return g
 
 
 class RiskNorm(Seminorm):
@@ -366,6 +406,11 @@ class RiskNorm(Seminorm):
 
     def _value_arr(self, space, x, tol):
         return _risk_norm_arr(space, self.rho, np.abs(x), tol)
+
+    def linear_piece_arr(self, space, a):
+        if self.rho.kind != "avar":
+            return None
+        return _avar_density(space.probs, a, self.rho.level)
 
     def polar_start_profiles(self, space, z):
         return prefix_indicators(z.size)
@@ -399,10 +444,11 @@ class GenOrliczNorm(Seminorm):
         a = np.abs(x)
         if not np.any(a > 0.0):
             return 0.0
-        hi0 = max(float(a.max()), 1e-12)
-        return bisect_gauge(
+        # the gauge is positively homogeneous: bisect on a / max(a) at any scale
+        m = float(a.max())
+        a = a / m
+        return m * bisect_gauge(
             lambda b: self.inner._value_arr(space, self.phi.eval_array(a / b), tol) <= 1.0,
-            hi0=hi0,
             rel_tol=tol.gauge_rel,
         )
 

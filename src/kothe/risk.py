@@ -357,6 +357,35 @@ def _avar_dual_gauge_exact(probs: np.ndarray, z: np.ndarray, t: float) -> float:
     return float(np.max(sums / (np.minimum(mass, t) / t)))
 
 
+def _avar_dual_facet(probs: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
+    """The set bound attaining _avar_dual_gauge_exact at z >= 0.
+
+    t * p * 1_S / min(P(S), t) for the maximizing top-k set S of the same
+    prefix scan; every such set bound lies below the gauge on z >= 0.
+    """
+    order, mass, sums = _sorted_prefix(probs, z)
+    k = int(np.argmax(sums / (np.minimum(mass, t) / t)))
+    g = np.zeros(z.size)
+    top = order[: k + 1]
+    g[top] = t * probs[top] / min(float(mass[k]), t)
+    return g
+
+
+def _avar_density(probs: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """The worst-case density g of avar(t) at x: g.x = avar(x), g.u <= avar(u).
+
+    Along the stable descending sort of x, atoms wholly inside the top-t
+    tail get p_i / t, the atom on its boundary gets (t - mass before) / t,
+    and the rest get 0.  So 0 <= g <= p/t and sum(g) = 1, which makes g a
+    feasible density of the dual representation of avar.
+    """
+    order, mass, _ = _sorted_prefix(probs, x)
+    before = np.concatenate([[0.0], mass[:-1]])
+    g = np.empty(x.size)
+    g[order] = np.clip(t - before, 0.0, probs[order]) / t
+    return g
+
+
 def _entropic_alpha_exact(probs: np.ndarray, z: np.ndarray, theta: float) -> float:
     """Exact entropic penalty by the stationarity support scan.
 

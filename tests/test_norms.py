@@ -29,6 +29,7 @@ from kothe import (
     young_indicator_ball,
     young_power,
     young_power_over_p,
+    young_tabulated,
 )
 from kothe._optim import minimize_scalar_convex
 from kothe.norms import (
@@ -342,7 +343,11 @@ MIXED4 = MusielakFamily(
 )
 CUBIC4 = MusielakFamily.constant(young_power(3.0), 4)
 EXP4 = MusielakFamily.constant(young_exponential(), 4)
+TABLE_XS = np.linspace(0.0, 3.0, 31)
+TABULATED4 = MusielakFamily.constant(young_tabulated(TABLE_XS, TABLE_XS**2), 4)
 SCALES = [1e-200, 1e-100, 1e-20, 1e20, 1e100, 1e200]
+# the bisection gauges divide by max|x| first, so they hold to the ends of the range
+BISECTION_KINDS = ["gen_orlicz_l1", "luxemburg_tabulated"]
 
 
 def _amemiya_oracle(space, y, family):
@@ -356,9 +361,14 @@ def _amemiya_oracle(space, y, family):
     return minimize_scalar_convex(objective, x0=float(np.dot(space.probs, a)), tol=1e-9)[1]
 
 
-@pytest.mark.parametrize("scale", SCALES)
 @pytest.mark.parametrize(
-    "kind", ["lp", "luxemburg_cubic", "luxemburg_mixed", "amemiya_const", "amemiya_mixed", "amemiya_exp"]
+    "kind, scale",
+    [
+        (kind, scale)
+        for kind in ["lp", "luxemburg_cubic", "luxemburg_mixed", "amemiya_const", "amemiya_mixed", "amemiya_exp"]
+        for scale in SCALES
+    ]
+    + [(kind, scale) for kind in BISECTION_KINDS for scale in SCALES + [1e-300, 1e300]],
 )
 def test_norms_are_homogeneous_across_scales(kind, scale):
     fn = {
@@ -369,6 +379,8 @@ def test_norms_are_homogeneous_across_scales(kind, scale):
         "amemiya_mixed": lambda y: amemiya_dual_norm(NONUNIFORM4, Rv(y), MIXED4),
         # golden-section route: its stopping width is relative to the bracket
         "amemiya_exp": lambda y: amemiya_dual_norm(NONUNIFORM4, Rv(y), EXP4),
+        "gen_orlicz_l1": lambda y: gen_orlicz_norm(NONUNIFORM4, Rv(y), young_power(2.0), LpNorm(1.0)),
+        "luxemburg_tabulated": lambda y: luxemburg_norm(NONUNIFORM4, Rv(y), TABULATED4),
     }[kind]
     assert fn(Y4 * scale) / scale == pytest.approx(fn(Y4), rel=1e-12)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from kothe import FiniteProbSpace, Rv, entropic, evaluate_risk
+import kothe.norms
+from kothe import FiniteProbSpace, MusielakFamily, Rv, entropic, evaluate_risk, luxemburg_norm, young_power
 from kothe._optim import golden_max_interval, minimize_scalar_convex, newton_gauge
 from kothe.risk import _entropic_arr
 
@@ -74,3 +75,27 @@ def test_minimize_scalar_convex_is_scale_free(c, x0):
     x, val = minimize_scalar_convex(lambda x: x + c * (c / x), x0=x0, tol=1e-9)
     assert x / c == pytest.approx(1.0, rel=1e-6)
     assert val / c == pytest.approx(2.0, rel=1e-12)
+
+
+def test_newton_gauge_reuses_the_bracket_value(monkeypatch):
+    # g at the upper end of the bracket seeds the first Newton step, so a
+    # constant-exponent power gauge evaluates its sum three times
+    calls = []
+    real = kothe.norms.newton_gauge
+
+    def counting(g, gprime, s0, rel_tol):
+        calls.append(0)
+
+        def counted(s):
+            calls[-1] += 1
+            return g(s)
+
+        return real(counted, gprime, s0, rel_tol)
+
+    monkeypatch.setattr(kothe.norms, "newton_gauge", counting)
+    rng = np.random.default_rng(23)
+    space = FiniteProbSpace(rng.dirichlet(np.ones(8)))
+    family = MusielakFamily.constant(young_power(2.3), 8)
+    for _ in range(50):
+        luxemburg_norm(space, Rv(rng.standard_normal(8)), family)
+    assert calls == [3] * 50

@@ -1,0 +1,215 @@
+"""Exact polars of the polyhedral seminorms by Kelley cutting planes.
+
+The oracle is an independent LP over the full facet list of each unit ball
+on the orthant, solved by scipy's HiGHS (a test-only dependency):
+
+- Marcinkiewicz: p * 1_S / phi(P(S)) for every nonempty atom set S;
+- Lorentz: the n! greedy vectors phi(T_j) - phi(T_{j-1}) along each order;
+- avar risk norm: the same with phi(s) = min(s/t, 1) (CVaR_t is that Lorentz norm);
+- avar dual gauge: t * p * 1_S / min(P(S), t) for every nonempty S;
+- L1: p;  Linf: the unit vectors.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kothe import FiniteProbSpace, Rv, avar, lorentz_norm, pairing, phi_sqrt, polar
+from kothe.cli import main
+from kothe.duality import dual_spec_of
+from kothe.norms import CustomSeminorm, LorentzNorm, LpNorm, MarcinkiewiczNorm, RiskNorm, Seminorm
+
+FAMILIES = ("L1", "Linf", "marcinkiewicz", "lorentz", "avar", "avar_dual")
+T = 0.35
+
+
+def _spec(name: str, space: FiniteProbSpace) -> Seminorm:
+    return {
+        "L1": lambda: LpNorm(1.0),
+        "Linf": lambda: LpNorm(math.inf),
+        "marcinkiewicz": lambda: MarcinkiewiczNorm(phi_sqrt()),
+        "lorentz": lambda: LorentzNorm(phi_sqrt()),
+        "avar": lambda: RiskNorm(avar(T)),
+        "avar_dual": lambda: dual_spec_of(space, RiskNorm(avar(T))),
+    }[name]()
+
+
+def _subsets(n: int):
+    for mask in range(1, 2**n):
+        yield np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
+
+
+def _greedy(probs: np.ndarray, phi) -> list[np.ndarray]:
+    out = []
+    for perm in itertools.permutations(range(probs.size)):
+        cum = np.concatenate([[0.0], np.cumsum(probs[list(perm)])])
+        g = np.empty(probs.size)
+        g[list(perm)] = np.diff(phi(np.minimum(cum, 1.0)))
+        out.append(g)
+    return out
+
+
+def _facets(name: str, probs: np.ndarray) -> np.ndarray:
+    n = probs.size
+    if name == "L1":
+        return probs[None, :]
+    if name == "Linf":
+        return np.eye(n)
+    if name == "marcinkiewicz":
+        return np.array([probs * s / math.sqrt(min(float(probs @ s), 1.0)) for s in _subsets(n)])
+    if name == "lorentz":
+        return np.array(_greedy(probs, np.sqrt))
+    if name == "avar":
+        return np.array(_greedy(probs, lambda s: np.minimum(s / T, 1.0)))
+    return np.array([T * probs * s / min(float(probs @ s), T) for s in _subsets(n)])
+
+
+def _oracle(name: str, probs: np.ndarray, y: np.ndarray) -> float:
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    facets = _facets(name, probs)
+    c = probs * np.abs(y)
+    # in x = c * w every cost is 1: HiGHS would round small costs c_i away,
+    # and an atom with c_i = 0 takes w_i = 0 at an optimum
+    keep = c > 0.0
+    a = facets[:, keep] / c[keep]
+    res = linprog(-np.ones(a.shape[1]), A_ub=a, b_ub=np.ones(len(a)), bounds=(0, None), method="highs")
+    assert res.status == 0
+    return -res.fun
+
+
+@st.composite
+def polar_cases(draw):
+    """(space, y): non-uniform masses on one to six atoms, ties from a small
+    integer grid, zeros and sign changes in y.  Values are rounded to 1e-6 so
+    that the oracle's scaled LP keeps coefficients HiGHS accepts."""
+    n = draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    space = FiniteProbSpace(weights / weights.sum())
+    value = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0).map(lambda v: round(v, 6)))
+    y = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    return space, y
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(case=polar_cases())
+def test_kelley_polar_matches_lp_oracle(name, case):
+    space, y = case
+    res = polar(space, _spec(name, space), Rv(y))
+    if not np.any(y != 0.0):
+        assert res.value == 0.0
+        return
+    want = _oracle(name, space.probs, y)
+    assert res.converged
+    assert abs(res.value - want) <= 1e-12 * max(1.0, want)
+    # the certified bound lies above the exact value; 1e-14 allows for the
+    # rounding of both LPs (the oracle itself lands a few ulps off)
+    assert res.upper >= want * (1.0 - 1e-14)
+    assert res.upper - res.value <= 1e-12 * res.upper
+    spec = _spec(name, space)
+    assert spec.value(space, res.maximizer) <= 1.0 + 1e-12
+    assert pairing(space, res.maximizer, Rv(y)) == pytest.approx(res.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_kelley_polar_is_homogeneous(name, uniform, scale):
+    rng = np.random.default_rng(7)
+    probs = np.full(7, 1.0 / 7) if uniform else rng.dirichlet(np.ones(7))
+    space = FiniteProbSpace(probs)
+    y = rng.standard_normal(7)
+    spec = _spec(name, space)
+    base = polar(space, spec, Rv(y))
+    scaled = polar(space, spec, Rv(y * scale))
+    assert scaled.value / scale == pytest.approx(base.value, rel=1e-12)
+    assert scaled.upper / scale == pytest.approx(base.upper, rel=1e-12)
+    assert scaled.converged
+
+
+@pytest.mark.parametrize("n", [16, 50])
+@pytest.mark.parametrize("name", ["marcinkiewicz", "lorentz", "avar"])
+def test_kelley_polar_converges_on_larger_nonuniform_spaces(name, n):
+    # these need up to 180 cuts, and some of them a fresh refactorization of
+    # the warm-started tableau before the bound closes
+    space = FiniteProbSpace(np.random.default_rng(3).dirichlet(np.ones(n)))
+    spec = _spec(name, space)
+    for k in range(10):
+        y = np.random.default_rng(k).standard_normal(n)
+        res = polar(space, spec, Rv(y))
+        assert res.converged
+        assert res.upper - res.value <= 1e-12 * res.upper
+        assert spec.value(space, res.maximizer) <= 1.0 + 1e-12
+        if name == "marcinkiewicz":
+            # in x = p * w the ball is the polymatroid x(S) <= phi(P(S)), so the
+            # greedy vertex in |y| order is optimal: the Lorentz norm of y
+            assert res.value == pytest.approx(lorentz_norm(space, Rv(y), phi_sqrt()), rel=1e-12)
+
+
+def test_kelley_polar_on_a_degenerate_lorentz_case():
+    # a degenerate LP that drove an early simplex with tiny pivots and a
+    # Bland leaving rule into LP points breaking a cut by 0.2%
+    space = FiniteProbSpace.uniform(6)
+    y = Rv([0.4005487, -1.61443942, -1.83693092, -1.02756601, -0.07472, -1.76874025])
+    res = polar(space, LorentzNorm(phi_sqrt()), y)
+    assert res.converged
+    assert res.value == pytest.approx(1.27530164566, abs=1e-11)
+    assert res.upper - res.value <= 1e-12 * res.upper
+    assert LorentzNorm(phi_sqrt()).value(space, res.maximizer) <= 1.0 + 1e-12
+
+
+def test_upper_bound_only_on_the_cutting_plane_path():
+    space = FiniteProbSpace.uniform(4)
+    y = Rv([1.0, -2.0, 0.5, 3.0])
+    assert polar(space, LpNorm(2.0), y).upper is None
+    # the avar(1/2) dual norm is max(E|y|, max|y| / 2) = max(1.625, 1.5)
+    assert polar(space, RiskNorm(avar(0.5)), y).upper == pytest.approx(1.625, rel=1e-12)
+    assert polar(space, LpNorm(1.0), Rv.zero(4)).upper == 0.0
+
+
+class _FirstCoordinate(Seminorm):
+    """|x_0|: a polyhedral seminorm that vanishes on the other coordinates."""
+
+    def _value_arr(self, space, x, tol):
+        return abs(float(x[0]))
+
+    def linear_piece_arr(self, space, a):
+        g = np.zeros(a.size)
+        g[0] = 1.0
+        return g
+
+
+def test_vanishing_direction_raises_on_both_paths():
+    space = FiniteProbSpace.uniform(4)
+    y = Rv([1.0, 2.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="vanishes"):
+        polar(space, _FirstCoordinate(), y, axiom_check=False)
+    smooth = CustomSeminorm(lambda s, x: abs(float(x[0])), name="first-coordinate")
+    with pytest.raises(ValueError, match="vanishes"):
+        polar(space, smooth, y, axiom_check=False)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_avar_check_passes_on_nonuniform_spaces(tmp_path, seed):
+    # the bipolar round trip needs the exact polar of the avar dual gauge;
+    # the line-search optimizer fell 1e-2 to 6e-2 short here
+    rng = np.random.default_rng(100 + seed)
+    probs, x = rng.dirichlet(np.ones(8)), rng.standard_normal(8)
+    path = tmp_path / "scenario.csv"
+    path.write_text("prob,v\n" + "".join(f"{float(p)!r},{float(v)!r}\n" for p, v in zip(probs, x)))
+    cfg = tmp_path / "avar.cfg"
+    cfg.write_text("kind=avar\nlevel=0.5\n")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["check", "--scenario", str(path), "--config", str(cfg)])
+    doc = json.loads(buf.getvalue())
+    assert code == 0, doc
+    bipolar = next(c for c in doc["checks"] if c["name"] == "bipolar")
+    assert bipolar["passed"] and bipolar["worst"] <= 1e-12
