@@ -25,6 +25,8 @@ __all__ = [
     "MaximizeResult",
     "maximize_linear_on_ball",
     "maximize_linear_on_polytope",
+    "SmoothModular",
+    "maximize_linear_on_modular_ball",
 ]
 
 _INF = math.inf
@@ -122,6 +124,30 @@ def newton_gauge(
         s = nxt
         val = g(s)
     return 1.0 / s
+
+
+def _power_gauge(
+    a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float
+) -> tuple[float, float, np.ndarray]:
+    """Solve sum(coef * (a/beta)**k) = 1 for beta, with a > 0 and k >= 1.
+
+    Returns (m, beta/m, w) with m = max a and w = coef * (a/m)**k.  In
+    t = m/beta the equation reads sum(w * t**k) = 1, whose left side is
+    increasing and convex, so the safeguarded Newton solves it.  Dividing a
+    by m keeps every term finite at any scale of a.  Newton starts just
+    above the root (sum w)**(-1/k_max) of the one-exponent equation, which
+    is the upper end of the bracket when all exponents agree.
+    """
+    m = float(a.max())
+    w = coef * (a / m) ** k
+    s0 = float(w.sum()) ** (-1.0 / float(k.max())) * (1.0 + 2.0**-20)
+    gamma = newton_gauge(
+        lambda s: float(np.dot(w, s**k)) - 1.0,
+        lambda s: float(np.dot(w * k, s ** (k - 1.0))),
+        s0,
+        rel_tol,
+    )
+    return m, gamma, w
 
 
 def minimize_scalar_convex(
@@ -725,3 +751,88 @@ def maximize_linear_on_polytope(
             tab, basis = _tableau(f, a)
         _primal_simplex(tab, basis)
     return MaximizeResult(best_val, best_x, converged, evals, max(upper * scale, best_val))
+
+
+@dataclass(frozen=True, eq=False)
+class SmoothModular:
+    """Per-atom Young functions with an invertible derivative, of one shape:
+
+    - "power": Phi_i(w) = scale_i * w**rate_i, with rate_i > 1;
+    - "exp":   Phi_i(w) = scale_i * (exp(rate_i * w) - 1).
+
+    Every method acts atomwise on arrays with one entry per atom.
+    """
+
+    kind: str
+    scale: np.ndarray
+    rate: np.ndarray
+
+    def dphi(self, w: np.ndarray) -> np.ndarray:
+        if self.kind == "power":
+            return self.scale * self.rate * w ** (self.rate - 1.0)
+        return self.scale * self.rate * np.exp(self.rate * w)
+
+    def dphi_inv(self, t: np.ndarray) -> np.ndarray:
+        """(Phi_i')^-1(t) for t >= 0, and 0 where t <= Phi_i'(0)."""
+        x = t / (self.scale * self.rate)
+        if self.kind == "power":
+            return x ** (1.0 / (self.rate - 1.0))
+        return np.log(np.maximum(x, 1.0)) / self.rate
+
+    def phi_star(self, t: np.ndarray) -> np.ndarray:
+        """The conjugate sup_w (t w - Phi_i(w)) for t >= 0."""
+        x = t / (self.scale * self.rate)
+        if self.kind == "power":
+            return self.scale * (self.rate - 1.0) * x ** (self.rate / (self.rate - 1.0))
+        x = np.maximum(x, 1.0)
+        return self.scale * (x * np.log(x) - x + 1.0)
+
+
+def maximize_linear_on_modular_ball(
+    c: np.ndarray,
+    probs: np.ndarray,
+    modular: SmoothModular,
+    norm_fn: Callable[[np.ndarray], float],
+    rel_tol: float,
+) -> MaximizeResult:
+    """Maximize <c, w> over {w >= 0 : norm_fn(w) <= 1} for a modular ball.
+
+    The ball must be {w >= 0 : sum_i probs_i Phi_i(w_i) <= 1}, and c >= 0
+    not all zero.  With a = c / probs the Lagrangian leaves one multiplier
+    mu: w_i(mu) = (Phi_i')^-1(a_i / mu) maximizes <c, w> - mu * modular, and
+    weak duality bounds the maximum by the Amemiya expression
+    L(mu) = mu * (1 + sum_i probs_i Phi_i*(a_i / mu)) at every mu > 0
+    (Rockafellar 1970, section 28; Hudzik and Maligranda 2000).
+
+    mu is the root, in s = 1/mu, of sum_i probs_i Phi_i(w_i(1/s)) = 1, whose
+    left side is increasing and convex.  For powers it is a power gauge in
+    the conjugate exponents r/(r - 1); for the exp shape it is piecewise
+    linear, and Newton from above stops on its exact root.  a is divided by
+    max(a), so the root does not depend on the scale of c.  The value is
+    <c, w> / N with N = norm_fn(w) * (1 + rel_tol), the upper end of the
+    seminorm's own gauge bracket, so it is a feasible lower bound; upper is
+    L(mu).  rel_tol is also the root's relative tolerance.  n_evals counts
+    seminorm evaluations.
+    """
+    scale = float((c / probs).max())
+    a = c / probs / scale
+    if modular.kind == "power":
+        k, r = modular.scale, modular.rate
+        q = r / (r - 1.0)
+        # probs * Phi(w(a s)) = probs * k * (k r)**-q * (a s)**q
+        _, mu, _ = _power_gauge(a, probs * k * (k * r) ** -q, q, rel_tol)
+    else:
+        # probs * Phi(w(a s)) = probs * max(a s / rate - scale, 0)
+        slope = a / modular.rate
+        top = int(np.argmax(a))
+        mu = newton_gauge(
+            lambda s: float(np.dot(probs, np.maximum(slope * s - modular.scale, 0.0))) - 1.0,
+            lambda s: max(float(np.dot(probs, np.where(slope * s > modular.scale, slope, 0.0))), 1e-300),
+            modular.rate[top] * (modular.scale[top] + 1.0 / probs[top]),
+            rel_tol,
+        )
+    w = modular.dphi_inv(a / mu)
+    x = w / (norm_fn(w) * (1.0 + rel_tol))
+    value = float(np.dot(c, x))
+    upper = scale * mu * (1.0 + float(np.dot(probs, modular.phi_star(a / mu))))
+    return MaximizeResult(value, x, True, 1, max(upper, value))

@@ -1,12 +1,20 @@
 """Polar (dual) seminorms by direct optimization, plus verification helpers.
 
 The polar of a seminorm at y is the supremum of E[u*y] over the unit ball.
-It is computed here without closed forms: by a comonotone reduction for
-rearrangement-invariant seminorms on uniform spaces, then by Kelley cutting
-planes on the analytic facets of the polyhedral families (exact, with a
-certified upper bound) or by projected-subgradient ascent with line-search
-polishing for the others, and by sign/permutation enumeration on very small
-spaces.  Closed-form duals, where registered, only provide certificates (the
+It is computed here without closed forms, after a comonotone reduction for
+rearrangement-invariant seminorms on uniform spaces, by the first route that
+applies:
+
+- Kelley cutting planes on the analytic facets of the polyhedral families;
+- one Lagrange multiplier for the modular balls (Lp with 1 < p < inf,
+  Luxemburg over power or exp families, the entropic risk norm), and the
+  Luxemburg gauge for the Amemiya dual norm;
+- projected-subgradient ascent with line-search polishing for the rest
+  (custom seminorms and risk measures, tabulated and indicator Young
+  functions).
+
+The first two are exact and carry a certified upper bound; the last carries
+none.  Closed-form duals, where registered, only provide certificates (the
 ``gap`` field), never the returned value.
 """
 
@@ -15,11 +23,17 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._optim import maximize_linear_on_ball, maximize_linear_on_polytope, prefix_indicators
+from ._optim import (
+    MaximizeResult,
+    maximize_linear_on_ball,
+    maximize_linear_on_modular_ball,
+    maximize_linear_on_polytope,
+    prefix_indicators,
+)
 from .norms import (
     CustomSeminorm,
     GenOrliczNorm,
@@ -29,7 +43,9 @@ from .norms import (
     MarcinkiewiczNorm,
     RiskNorm,
     Seminorm,
+    _amemiya_arr,
     _conjugate_exponent,
+    _smooth_modular,
     check_axioms,
     gen_orlicz_dual_norm,
 )
@@ -70,8 +86,9 @@ class PolarResult:
     both when the closed form confirms the value and when there is none, so
     it alone does not tell a certified value from an uncertified one.  upper
     does: it is a certified upper bound on the polar (the final cutting-plane
-    LP value, for polyhedral unit balls), and None when the line-search
-    optimizer ran, which carries no bound.
+    LP value for polyhedral unit balls, the Amemiya bound at the multiplier
+    for modular balls, the Luxemburg gauge for the Amemiya dual norm).  It is
+    None only on the uncertified line-search fallback.
     """
 
     value: float
@@ -124,11 +141,13 @@ def polar(
     to nonincreasing profiles comonotone with |y| sorted.  Specs with a
     ``linear_piece_arr`` (L1, Linf, Marcinkiewicz, Lorentz, the avar risk
     norm and the avar dual gauge) are solved exactly by Kelley cutting
-    planes; the budget parameters only act on the line-search optimizer that
-    serves the rest.  ``enumerate_full``
-    re-evaluates the seminorm on every signed permutation of the best profile
-    (small spaces only); by default a permutation sweep without re-evaluation
-    runs for invariant specs on up to six atoms.
+    planes, specs with a ``smooth_modular`` (Lp, power and exp Luxemburg,
+    the entropic risk norm) and the Amemiya dual norm exactly by one
+    Lagrange multiplier; the budget parameters only act on the line-search
+    optimizer that serves the rest.  ``enumerate_full`` re-evaluates the
+    seminorm on every signed permutation of the best profile (small spaces
+    only); by default a permutation sweep without re-evaluation confirms
+    uncertified results for invariant specs on up to six atoms.
     """
     _check_on_space(space, y, "y")
     if axiom_check:
@@ -149,68 +168,51 @@ def polar(
         raise ValueError("the comonotone strategy needs an invariant spec on a uniform space")
     use_comonotone = ri_uniform and strategy in ("auto", "comonotone")
     order = np.argsort(-np.abs(z), kind="stable")
-    zd = np.abs(z)[order]
-    budget = {"max_passes": max_passes} if max_passes is not None else {}
-
+    # the comonotone search runs on |y| sorted down, the general one in atom order
+    index = order if use_comonotone else np.arange(n)
+    c = space.probs[index] * np.abs(z)[index]
     if use_comonotone:
-        c = space.probs[order] * zd
-        res = maximize_linear_on_polytope(
-            c, norm_fn, facet_fn, monotone=True, starts=prefix_indicators(n)
-        )
-        if res is None:
-            res = maximize_linear_on_ball(
-                c,
-                norm_fn,
-                monotone=True,
-                rng=np.random.default_rng(seed),
-                extra_starts=spec.polar_start_profiles(space, zd),
-                n_random_starts=3 if n_random_starts is None else n_random_starts,
-                subgrad_iters=20 + 5 * n if subgrad_iters is None else subgrad_iters,
-                **budget,
-            )
-        u_vals = np.empty(n)
-        u_vals[order] = res.x
-        u_vals *= np.sign(z)
-        method = "comonotone"
+        starts = prefix_indicators(n)
     else:
-        c = space.probs * np.abs(z)
         # unit vectors bound every variable; the top-k sets of |y| carry the
         # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
         rank = np.argsort(order)
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
-        res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=False, starts=starts)
-        if res is None:
-            hints = []
-            for h in spec.polar_start_profiles(space, zd):
-                # profiles come nonincreasing; lay them comonotone with |y|
-                arranged = np.empty(n)
-                arranged[order] = np.sort(np.abs(h))[::-1]
-                hints.append(arranged)
-            res = maximize_linear_on_ball(
-                c,
-                norm_fn,
-                monotone=False,
-                rng=np.random.default_rng(seed),
-                extra_starts=hints,
-                n_random_starts=20 if n_random_starts is None else n_random_starts,
-                subgrad_iters=15 + 4 * n if subgrad_iters is None else subgrad_iters,
-                **budget,
-            )
-        u_vals = np.sign(z) * res.x
-        method = "subgradient"
+    res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=use_comonotone, starts=starts)
+    if res is None:
+        res = _smooth_polar(space, spec, np.abs(z), norm_fn, tol)
+        if res is not None:
+            res = replace(res, x=res.x[index])
+    if res is None:
+        hints = []
+        for h in spec.polar_start_profiles(space, np.abs(z)[order]):
+            # profiles come nonincreasing; lay them comonotone with |y|
+            arranged = np.empty(n)
+            arranged[order] = np.sort(np.abs(h))[::-1]
+            hints.append(arranged[index])
+        if n_random_starts is None:
+            n_random_starts = 3 if use_comonotone else 20
+        if subgrad_iters is None:
+            subgrad_iters = 20 + 5 * n if use_comonotone else 15 + 4 * n
+        res = maximize_linear_on_ball(
+            c,
+            norm_fn,
+            monotone=use_comonotone,
+            rng=np.random.default_rng(seed),
+            extra_starts=hints,
+            n_random_starts=n_random_starts,
+            subgrad_iters=subgrad_iters,
+            **({"max_passes": max_passes} if max_passes is not None else {}),
+        )
     profile = res.x
-
+    u_vals = np.empty(n)
+    u_vals[index] = profile
+    u_vals *= np.sign(z)
+    method = "comonotone" if use_comonotone else "subgradient"
     value = res.value
-    converged = res.converged
 
-    if enumerate_full is None:
-        enumerate_full = False
-    # rearranging a profile preserves feasibility only for invariant specs on
-    # uniform spaces, so the cheap sweep is restricted to that case
-    do_sweep = ri_uniform and n <= 6
     if enumerate_full and n > 6:
         raise ValueError("full enumeration is limited to six atoms")
-
     if enumerate_full:
         best = (value, u_vals)
         mags = np.sort(np.abs(profile))[::-1]
@@ -224,9 +226,10 @@ def polar(
                         best = (val, cand)
                         method = "enumeration"
         value, u_vals = best
-    elif do_sweep:
+    elif ri_uniform and n <= 6 and res.upper is None:
         # invariance makes every rearrangement of the profile feasible; the
-        # comonotone one should win, and this confirms it on small spaces
+        # comonotone one should win, and this confirms uncertified results
+        # on small spaces (a certified one has nothing left to confirm)
         mags = np.abs(profile)
         coeff = space.probs * np.abs(z)
         best_val = value
@@ -241,7 +244,26 @@ def polar(
     closed = spec.dual_value_arr(space, z, tol)
     gap = max(0.0, closed - value) if closed is not None else 0.0
     upper = None if res.upper is None else max(res.upper, value)
-    return PolarResult(value, Rv(u_vals), method, gap, converged, upper)
+    return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
+
+
+def _smooth_polar(
+    space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn, tol: Tolerances
+) -> MaximizeResult | None:
+    """The exact polar at |y| = a, in atom order, for modular unit balls and
+    the Amemiya dual norm; None for other specs."""
+    c = space.probs * a
+    if isinstance(spec, _AmemiyaDualNorm):
+        found = spec.polar_witness(space, a, tol)
+        if found is None:
+            return None
+        w, lam = found
+        x = w / norm_fn(w)
+        return MaximizeResult(float(np.dot(c, x)), x, True, 1, lam * (1.0 + tol.gauge_rel))
+    modular = spec.smooth_modular(space)
+    if modular is None:
+        return None
+    return maximize_linear_on_modular_ball(c, space.probs, modular, norm_fn, tol.gauge_rel)
 
 
 class _AvarDualNorm(Seminorm):
@@ -262,6 +284,39 @@ class _AvarDualNorm(Seminorm):
         return _avar_dual_facet(space.probs, a, self.level)
 
 
+class _AmemiyaDualNorm(Seminorm):
+    """The dual norm of the Luxemburg norm of a Young family Phi: the
+    Amemiya (Orlicz) norm inf_b b * (1 + E Phi*(|x|/b)).  Its own polar is
+    that Luxemburg norm, and Young's equality supplies the witness."""
+
+    name = "amemiya-dual"
+
+    def __init__(self, family: MusielakFamily):
+        self.family = family
+        self.conj = family.conjugate()
+        self.rearrangement_invariant = family.is_constant
+
+    def _value_arr(self, space, x, tol):
+        return _amemiya_arr(space.probs, x, self.conj, tol)
+
+    def polar_witness(
+        self, space: FiniteProbSpace, a: np.ndarray, tol: Tolerances
+    ) -> tuple[np.ndarray, float] | None:
+        """(w, lam) for a >= 0: lam is the Luxemburg norm of a, and
+        w = Phi'(a / lam) attains it, <p a, w> = lam * (this norm of w).
+
+        With v = a / lam, E Phi(v) = 1, and b = 1 in the Amemiya infimum at w
+        gives E Phi*(Phi'(v)) + 1 = E[v Phi'(v)], its minimum, so the ratio
+        is lam.  None when Phi' has no closed form here.
+        """
+        modular = _smooth_modular(self.family)
+        if modular is None:
+            return None
+        lam = LuxemburgNorm(self.family)._value_arr(space, a, tol)
+        v = a / lam
+        return np.where(v > 0.0, modular.dphi(v), 0.0), lam
+
+
 def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
     """A seminorm object evaluating the closed-form polar of spec, if known."""
     if isinstance(spec, LpNorm):
@@ -271,18 +326,7 @@ def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
     if isinstance(spec, LorentzNorm) and space.is_uniform:
         return MarcinkiewiczNorm(spec.phi)
     if isinstance(spec, LuxemburgNorm):
-        conj = spec.family.conjugate()
-
-        def fn(sp: FiniteProbSpace, x: np.ndarray, _conj=conj) -> float:
-            from .norms import _amemiya_arr
-
-            return _amemiya_arr(sp.probs, x, _conj, DEFAULT_TOL)
-
-        return CustomSeminorm(
-            fn,
-            rearrangement_invariant=spec.rearrangement_invariant,
-            name="amemiya-dual",
-        )
+        return _AmemiyaDualNorm(spec.family)
     if isinstance(spec, RiskNorm) and spec.rho.kind == "avar":
         return _AvarDualNorm(spec.rho.level)
     if isinstance(spec, RiskNorm) and spec.rho.kind == "entropic":

@@ -1,8 +1,9 @@
 """The seminorm families and their axioms checker.
 
 Each family is a small class with a shared interface: evaluation on a random
-variable, an optional closed-form dual, and for the polar optimizer either
-analytic facets (polyhedral families) or optional starting profiles.  Free
+variable, an optional closed-form dual, and for the polar optimizer analytic
+facets (polyhedral families), per-atom Young functions (modular balls) or
+optional starting profiles.  Free
 functions mirror the class API for the common cases.  The axiom checker is
 randomized and report-only; it never mutates the spec it inspects.
 """
@@ -17,10 +18,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._optim import (
+    SmoothModular,
+    _power_gauge,
     bisect_gauge,
     minimize_convex_on_orthant,
     minimize_scalar_convex,
-    newton_gauge,
     prefix_indicators,
 )
 from .risk import RiskMeasureSpec, _avar_density, _risk_norm_arr
@@ -170,6 +172,16 @@ class Seminorm(abc.ABC):
         """
         return None
 
+    def smooth_modular(self, space: FiniteProbSpace) -> SmoothModular | None:
+        """The Young functions of a seminorm whose unit ball is a modular set.
+
+        The unit ball on the orthant must be {w >= 0 : sum_i p_i Phi_i(w_i)
+        <= 1}, with each Phi_i' invertible in closed form.  The polar then
+        solves for one Lagrange multiplier and certifies its value by the
+        Amemiya bound.  None for other families.
+        """
+        return None
+
     def polar_start_profiles(self, space: FiniteProbSpace, z: np.ndarray) -> list[np.ndarray]:
         """Optional starting profiles for the line-search polar optimizer."""
         return []
@@ -199,30 +211,6 @@ def _lp_arr(probs: np.ndarray, x: np.ndarray, p: float) -> float:
     return m * float(np.dot(probs, (a / m) ** p)) ** (1.0 / p)
 
 
-def _power_gauge(
-    a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float
-) -> tuple[float, float, np.ndarray]:
-    """Solve sum(coef * (a/beta)**k) = 1 for beta, with a > 0 and k >= 1.
-
-    Returns (m, beta/m, w) with m = max a and w = coef * (a/m)**k.  In
-    t = m/beta the equation reads sum(w * t**k) = 1, whose left side is
-    increasing and convex, so the safeguarded Newton solves it.  Dividing a
-    by m keeps every term finite at any scale of a.  Newton starts just
-    above the root (sum w)**(-1/k_max) of the one-exponent equation, which
-    is the upper end of the bracket when all exponents agree.
-    """
-    m = float(a.max())
-    w = coef * (a / m) ** k
-    s0 = float(w.sum()) ** (-1.0 / float(k.max())) * (1.0 + 2.0**-20)
-    gamma = newton_gauge(
-        lambda s: float(np.dot(w, s**k)) - 1.0,
-        lambda s: float(np.dot(w * k, s ** (k - 1.0))),
-        s0,
-        rel_tol,
-    )
-    return m, gamma, w
-
-
 class LpNorm(Seminorm):
     rearrangement_invariant = True
 
@@ -248,8 +236,11 @@ class LpNorm(Seminorm):
             return g
         return None
 
-    def polar_start_profiles(self, space, z):
-        return [np.abs(z) ** (1.0 / (self.p - 1.0))]
+    def smooth_modular(self, space):
+        if self.p == 1.0 or math.isinf(self.p):
+            return None
+        n = space.n_atoms
+        return SmoothModular("power", np.ones(n), np.full(n, self.p))
 
 
 class LuxemburgNorm(Seminorm):
@@ -261,8 +252,7 @@ class LuxemburgNorm(Seminorm):
         self.name = "luxemburg"
 
     def _value_arr(self, space, x, tol):
-        if len(self.family) != x.size:
-            raise ValueError("Young family and space have different sizes")
+        _check_family_size(self.family, x.size)
         a = np.abs(x)
         if not np.any(a > 0.0):
             return 0.0
@@ -284,8 +274,30 @@ class LuxemburgNorm(Seminorm):
     def dual_value_arr(self, space, z, tol):
         return _amemiya_arr(space.probs, z, self.family.conjugate(), tol)
 
+    def smooth_modular(self, space):
+        _check_family_size(self.family, space.n_atoms)
+        return _smooth_modular(self.family)
+
     def polar_start_profiles(self, space, z):
         return [np.abs(z)]
+
+
+def _check_family_size(family: MusielakFamily, n: int) -> None:
+    if len(family) != n:
+        raise ValueError("Young family and space have different sizes")
+
+
+def _smooth_modular(family: MusielakFamily) -> SmoothModular | None:
+    """The family as a SmoothModular: all powers x**p with p > 1, or all e^x - 1."""
+    pw = family._pow_p  # type: ignore[attr-defined]
+    if pw is not None:
+        if not np.all(pw > 1.0):
+            return None
+        return SmoothModular("power", family._pow_scale, pw)  # type: ignore[attr-defined]
+    if all(f.kind == "exp" for f in family.functions):
+        ones = np.ones(len(family))
+        return SmoothModular("exp", ones, ones)
+    return None
 
 
 def _breakpoint_data(
@@ -412,6 +424,17 @@ class RiskNorm(Seminorm):
             return None
         return _avar_density(space.probs, a, self.rho.level)
 
+    def smooth_modular(self, space):
+        # the ball {E e^(theta w) <= e^theta} is the modular set of
+        # Phi(w) = (e^(theta w) - 1) / (e^theta - 1); past theta = 500 the
+        # terms e^(theta w) on the ball near the float ceiling, and the line
+        # search serves those
+        theta = self.rho.theta
+        if self.rho.kind != "entropic" or theta > 500.0:
+            return None
+        n = space.n_atoms
+        return SmoothModular("exp", np.full(n, 1.0 / math.expm1(theta)), np.full(n, theta))
+
     def polar_start_profiles(self, space, z):
         return prefix_indicators(z.size)
 
@@ -516,11 +539,15 @@ def _amemiya_arr(
         m, gamma, w = _power_gauge(a[mask], coef, qm, tol.gauge_rel)
         return m * gamma * (float(np.dot(w / (qm - 1.0), gamma**-qm)) + 1.0)
 
+    # the infimum is positively homogeneous in a: minimize on a / max(a)
+    m = float(a.max())
+    a = a / m
+
     def objective(beta: float) -> float:
         return beta * conj_family.modular(probs, a / beta) + beta
 
     _, value = minimize_scalar_convex(objective, x0=float(np.dot(probs, a)), tol=tol.golden)
-    return value
+    return m * value
 
 
 def amemiya_dual_norm(
@@ -539,8 +566,7 @@ def amemiya_dual_norm(
     section.  The reported number is the infimal value, not a minimizer.
     """
     _check_on_space(space, y, "y")
-    if len(family) != space.n_atoms:
-        raise ValueError("Young family and space have different sizes")
+    _check_family_size(family, space.n_atoms)
     return _amemiya_arr(space.probs, y.values, family.conjugate(), tol)
 
 

@@ -392,6 +392,9 @@ def _entropic_alpha_exact(probs: np.ndarray, z: np.ndarray, theta: float) -> flo
     Finite exactly when E[z] <= 1; on the active support S the optimizer has
     exp(theta*xi_i) = z_i * D with D = P(S^c) / (1 - sum_S p z), and the
     value collapses to (sum_S p z log z - (1 - sum_S p z) log D) / theta.
+    The candidate supports are the top-k sets of z, k < n, so prefix sums
+    of p z and p z log z along one descending sort, and suffix sums of p,
+    give every candidate in O(n log n).
     """
     if not np.any(z > 0.0):
         return 0.0
@@ -400,21 +403,19 @@ def _entropic_alpha_exact(probs: np.ndarray, z: np.ndarray, theta: float) -> flo
     order = np.argsort(-z)
     zs = z[order]
     ps = probs[order]
-    best = 0.0
-    for k in range(1, zs.size + 1):
-        top = float(np.dot(ps[:k], zs[:k]))
-        rest = float(ps[k:].sum())
-        if top >= 1.0 - 1e-15 or rest <= 0.0:
-            break
-        d = rest / (1.0 - top)
-        if zs[k - 1] * d <= 1.0:
-            continue
-        if k < zs.size and zs[k] * d > 1.0 + 1e-12:
-            continue
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = float(np.dot(ps[:k] * zs[:k], np.log(zs[:k])))
-        best = max(best, (ent - (1.0 - top) * math.log(d)) / theta)
-    return best
+    pz = ps * zs
+    # entry j describes the support of the j + 1 largest atoms; top is
+    # nondecreasing, so the scan ends at the first support with top >= 1,
+    # and the whole space (rest = 0) never qualifies
+    top = np.cumsum(pz)[:-1]
+    k = int(np.searchsorted(top, 1.0 - 1e-15))
+    top = top[:k]
+    d = np.cumsum(ps[::-1])[::-1][1 : k + 1] / (1.0 - top)
+    ok = (zs[:k] * d > 1.0) & (zs[1 : k + 1] * d <= 1.0 + 1e-12)
+    if not ok.any():
+        return 0.0
+    ent = np.cumsum(pz[:k] * np.log(np.where(zs[:k] > 0.0, zs[:k], 1.0)))
+    return max(0.0, float(((ent - (1.0 - top) * np.log(d))[ok]).max()) / theta)
 
 
 def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray) -> float | None:
@@ -430,12 +431,15 @@ def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray
     if rho.kind == "entropic":
         if not np.any(z > 0.0):
             return 0.0
+        # positively homogeneous in z: minimize on z / max(z)
+        m = float(z.max())
+        z = z / m
 
         def objective(beta: float) -> float:
             a = _entropic_alpha_exact(space.probs, z / beta, rho.theta)
             return beta * a + beta
 
-        return minimize_scalar_convex(objective, x0=float(np.dot(space.probs, z)), tol=1e-12)[1]
+        return m * minimize_scalar_convex(objective, x0=float(np.dot(space.probs, z)), tol=1e-12)[1]
     return None
 
 
@@ -446,9 +450,14 @@ def _dual_inf_form(
     *,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """(beta, value) minimizing beta * penalty(z/beta) + beta over beta > 0."""
+    """(beta, value) minimizing beta * penalty(z/beta) + beta over beta > 0.
+
+    Both are positively homogeneous in z, so the search runs on z / max(z).
+    """
     if not np.any(z > 0.0):
         return 0.0, 0.0
+    m = float(z.max())
+    z = z / m
 
     def objective(beta: float) -> float:
         res = penalty(space, rho, Rv(z / beta), seed=seed)
@@ -457,7 +466,8 @@ def _dual_inf_form(
     x0 = float(np.dot(space.probs, z))
     # tight bracket: for 0/inf penalties the objective is beta on one side of
     # a jump, and the landing point should be exact to rounding
-    return minimize_scalar_convex(objective, x0=x0, tol=1e-13)
+    beta, value = minimize_scalar_convex(objective, x0=x0, tol=1e-13)
+    return m * beta, m * value
 
 
 @dataclass(frozen=True, eq=False)

@@ -368,7 +368,9 @@ def _amemiya_oracle(space, y, family):
         for kind in ["lp", "luxemburg_cubic", "luxemburg_mixed", "amemiya_const", "amemiya_mixed", "amemiya_exp"]
         for scale in SCALES
     ]
-    + [(kind, scale) for kind in BISECTION_KINDS for scale in SCALES + [1e-300, 1e300]],
+    + [(kind, scale) for kind in BISECTION_KINDS for scale in SCALES + [1e-300, 1e300]]
+    # the golden-section route minimizes on |y| / max|y|, so it too holds there
+    + [("amemiya_exp", scale) for scale in (1e-300, 1e-150, 1e150, 1e300)],
 )
 def test_norms_are_homogeneous_across_scales(kind, scale):
     fn = {
@@ -439,3 +441,4 @@ def test_linear_conjugate_families_keep_the_generic_route(monkeypatch):
     expected = _amemiya_oracle(NONUNIFORM4, Y4, mixed)
     assert amemiya_dual_norm(NONUNIFORM4, y, mixed) == pytest.approx(expected, rel=1e-15)
     assert len(calls) == 3
+

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import kothe.norms
+import kothe._optim
 from kothe import FiniteProbSpace, MusielakFamily, Rv, entropic, evaluate_risk, luxemburg_norm, young_power
 from kothe._optim import golden_max_interval, minimize_scalar_convex, newton_gauge
 from kothe.risk import _entropic_arr
@@ -81,7 +81,7 @@ def test_newton_gauge_reuses_the_bracket_value(monkeypatch):
     # g at the upper end of the bracket seeds the first Newton step, so a
     # constant-exponent power gauge evaluates its sum three times
     calls = []
-    real = kothe.norms.newton_gauge
+    real = kothe._optim.newton_gauge
 
     def counting(g, gprime, s0, rel_tol):
         calls.append(0)
@@ -92,7 +92,7 @@ def test_newton_gauge_reuses_the_bracket_value(monkeypatch):
 
         return real(counted, gprime, s0, rel_tol)
 
-    monkeypatch.setattr(kothe.norms, "newton_gauge", counting)
+    monkeypatch.setattr(kothe._optim, "newton_gauge", counting)
     rng = np.random.default_rng(23)
     space = FiniteProbSpace(rng.dirichlet(np.ones(8)))
     family = MusielakFamily.constant(young_power(2.3), 8)

@@ -165,10 +165,16 @@ def test_kelley_polar_on_a_degenerate_lorentz_case():
     assert LorentzNorm(phi_sqrt()).value(space, res.maximizer) <= 1.0 + 1e-12
 
 
-def test_upper_bound_only_on_the_cutting_plane_path():
+def test_upper_bound_on_every_path_but_callbacks():
     space = FiniteProbSpace.uniform(4)
     y = Rv([1.0, -2.0, 0.5, 3.0])
-    assert polar(space, LpNorm(2.0), y).upper is None
+    # the modular ball of L2 is certified by its multiplier: ||y||_2 = sqrt(3.5625)
+    l2 = polar(space, LpNorm(2.0), y)
+    assert l2.value <= math.sqrt(3.5625) <= l2.upper
+    assert l2.upper - l2.value <= 1e-9 * l2.upper
+    # only a user callback leaves the line search uncertified
+    callback = CustomSeminorm(lambda s, x: float(np.sqrt(np.dot(s.probs, x * x))), rearrangement_invariant=True)
+    assert polar(space, callback, y).upper is None
     # the avar(1/2) dual norm is max(E|y|, max|y| / 2) = max(1.625, 1.5)
     assert polar(space, RiskNorm(avar(0.5)), y).upper == pytest.approx(1.625, rel=1e-12)
     assert polar(space, LpNorm(1.0), Rv.zero(4)).upper == 0.0

@@ -258,7 +258,7 @@ def test_avar_penalty_and_dual_gauge_match_subset_enumeration(case, scale):
     assert grow[2] == pytest.approx(4.0 * grow[0], rel=1e-9)
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e20, 1e100])
+@pytest.mark.parametrize("scale", [1e-100, 1e-20, 1e20, 1e100, 1e-300, 1e-150, 1e150, 1e300])
 def test_entropic_dual_gauge_is_scale_free(scale):
     space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
     y = np.array([0.3, 1.2, 2.0])
@@ -274,3 +274,63 @@ def test_risk_dual_norm_is_scale_free(scale):
     scaled = risk_dual_norm(space, entropic(1.0), Rv(y * scale))
     assert scaled.value / scale == pytest.approx(base.value, rel=1e-9)
     assert scaled.beta / scale == pytest.approx(base.beta, rel=1e-6)
+
+
+def _entropic_alpha_scan(probs, z, theta):
+    """The O(n^2) support scan: one fresh dot product per top-k support."""
+    from kothe.risk import _INF
+
+    if not np.any(z > 0.0):
+        return 0.0
+    if float(np.dot(probs, z)) > 1.0 + 1e-13:
+        return _INF
+    order = np.argsort(-z)
+    zs, ps = z[order], probs[order]
+    best = 0.0
+    for k in range(1, zs.size + 1):
+        top = float(np.dot(ps[:k], zs[:k]))
+        rest = float(ps[k:].sum())
+        if top >= 1.0 - 1e-15 or rest <= 0.0:
+            break
+        d = rest / (1.0 - top)
+        if zs[k - 1] * d <= 1.0:
+            continue
+        if k < zs.size and zs[k] * d > 1.0 + 1e-12:
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ent = float(np.dot(ps[:k] * zs[:k], np.log(zs[:k])))
+        best = max(best, (ent - (1.0 - top) * math.log(d)) / theta)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=9),
+    grid=st.lists(st.integers(0, 4), min_size=9, max_size=9),
+    level=st.floats(0.05, 1.0),
+    theta=st.sampled_from([0.3, 1.0, 4.0]),
+)
+def test_entropic_alpha_prefix_scan_matches_the_quadratic_scan(weights, grid, level, theta):
+    # integer grid values give ties, and E[z] = level <= 1 keeps the penalty finite
+    from kothe.risk import _entropic_alpha_exact
+
+    n = len(weights)
+    probs = np.array(weights) / sum(weights)
+    z = np.array(grid[:n], dtype=float)
+    if z.any():
+        z *= level / float(np.dot(probs, z))
+    got = _entropic_alpha_exact(probs, z, theta)
+    want = _entropic_alpha_scan(probs, z, theta)
+    if math.isinf(want):
+        assert math.isinf(got)
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_entropic_alpha_prefix_scan_on_ties_and_uneven_masses():
+    from kothe.risk import _entropic_alpha_exact
+
+    probs = np.array([0.05, 0.4, 0.15, 0.1, 0.3])
+    for z in ([2.0, 2.0, 0.5, 0.5, 0.0], [3.0, 0.5, 3.0, 0.0, 0.5], [1.0] * 5, [0.0, 0.0, 6.0, 0.0, 0.0]):
+        z = np.array(z) * 0.9 / float(np.dot(probs, z))
+        assert _entropic_alpha_exact(probs, z, 1.0) == pytest.approx(_entropic_alpha_scan(probs, z, 1.0), rel=1e-12)
