@@ -19,13 +19,12 @@ __all__ = [
     "newton_gauge",
     "minimize_scalar_convex",
     "golden_max_interval",
-    "pav_decreasing",
-    "project_decreasing_nonneg",
     "prefix_indicators",
     "MaximizeResult",
     "maximize_linear_on_ball",
     "maximize_linear_on_polytope",
     "SmoothModular",
+    "amemiya_multiplier",
     "maximize_linear_on_modular_ball",
 ]
 
@@ -42,6 +41,9 @@ _KELLEY_ITERS = 500
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-13
 _PIVOT_CAP = 500
+# certified upper bounds are multiplied by this, so that the few roundings
+# in their evaluation cannot leave them below the exact maximum
+_ROUND_UP = 1.0 + 8.0 * 2.0**-52
 _VANISHING = "the seminorm vanishes along a direction with positive pairing; the polar value is +inf"
 
 
@@ -126,17 +128,16 @@ def newton_gauge(
     return 1.0 / s
 
 
-def _power_gauge(
-    a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float
-) -> tuple[float, float, np.ndarray]:
-    """Solve sum(coef * (a/beta)**k) = 1 for beta, with a > 0 and k >= 1.
+def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float) -> float:
+    """Solve sum(coef * (a/beta)**k) = 1 for beta, with a >= 0 not all zero
+    and k >= 1.
 
-    Returns (m, beta/m, w) with m = max a and w = coef * (a/m)**k.  In
-    t = m/beta the equation reads sum(w * t**k) = 1, whose left side is
-    increasing and convex, so the safeguarded Newton solves it.  Dividing a
-    by m keeps every term finite at any scale of a.  Newton starts just
-    above the root (sum w)**(-1/k_max) of the one-exponent equation, which
-    is the upper end of the bracket when all exponents agree.
+    With m = max a and w = coef * (a/m)**k, in t = m/beta the equation
+    reads sum(w * t**k) = 1, whose left side is increasing and convex, so
+    the safeguarded Newton solves it.  Dividing a by m keeps every term
+    finite at any scale of a.  Newton starts just above the root
+    (sum w)**(-1/k_max) of the one-exponent equation, which is the upper
+    end of the bracket when all exponents agree.
     """
     m = float(a.max())
     w = coef * (a / m) ** k
@@ -147,7 +148,7 @@ def _power_gauge(
         s0,
         rel_tol,
     )
-    return m, gamma, w
+    return m * gamma
 
 
 def minimize_scalar_convex(
@@ -235,37 +236,6 @@ def golden_min_interval(
     return x, -g
 
 
-def pav_decreasing(y: np.ndarray) -> np.ndarray:
-    """L2 projection onto nonincreasing vectors (pool adjacent violators)."""
-    n = y.size
-    level = y.astype(float).copy()
-    weight = np.ones(n)
-    # stack of (value, weight) blocks
-    vals: list[float] = []
-    wts: list[float] = []
-    for i in range(n):
-        v, w = level[i], weight[i]
-        while vals and vals[-1] < v:
-            v = (v * w + vals[-1] * wts[-1]) / (w + wts[-1])
-            w += wts[-1]
-            vals.pop()
-            wts.pop()
-        vals.append(v)
-        wts.append(w)
-    out = np.empty(n)
-    pos = 0
-    for v, w in zip(vals, wts):
-        cnt = int(round(w))
-        out[pos : pos + cnt] = v
-        pos += cnt
-    return out
-
-
-def project_decreasing_nonneg(y: np.ndarray) -> np.ndarray:
-    """Projection onto {w : w_1 >= ... >= w_n >= 0}."""
-    return np.maximum(pav_decreasing(y), 0.0)
-
-
 def prefix_indicators(n: int) -> list[np.ndarray]:
     """The indicators of the first k of n coordinates, k = 1..n."""
     return [np.concatenate([np.ones(k), np.zeros(n - k)]) for k in range(1, n + 1)]
@@ -318,7 +288,7 @@ def minimize_convex_on_orthant(
                 if dn <= 0:
                     continue
                 d = d / dn
-                t_lo, t_hi = _feasible_interval(v, d, monotone=False)
+                t_lo, t_hi = _feasible_interval(v, d)
                 t_lo = max(t_lo, -16.0 * scale)
                 t_hi = min(t_hi, 16.0 * scale)
                 if t_hi - t_lo <= 1e-16 * scale:
@@ -347,49 +317,10 @@ def minimize_convex_on_orthant(
     return best_val, best_v, converged
 
 
-def _greedy_staircase(norm_fn: Callable[[np.ndarray], float], n: int) -> np.ndarray | None:
-    """Tight nonincreasing profile: fill coordinates left to right, raising
-    each as far as the unit ball (and the previous coordinate) allows.  On
-    polyhedral balls this walks to an extreme staircase, the natural start
-    for maximizing a linear functional."""
-    w = np.zeros(n)
-    for i in range(n):
-        cap = _INF if i == 0 else float(w[i - 1])
-        if cap <= 0.0:
-            break
-        step = np.zeros(n)
-        step[i] = 1.0
-        hi = min(cap, 1.0)
-        for _ in range(60):
-            if norm_fn(w + hi * step) >= 1.0 or hi >= cap:
-                break
-            hi = min(2.0 * hi, cap)
-        else:
-            return None  # the ball is unbounded in this direction
-        if norm_fn(w + hi * step) < 1.0:
-            w[i] = hi  # the previous coordinate binds before the ball does
-            continue
-        lo = 0.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if norm_fn(w + mid * step) <= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        w[i] = lo
-    return w if w.max() > 0 else None
-
-
-def _feasible_interval(w: np.ndarray, d: np.ndarray, monotone: bool) -> tuple[float, float]:
-    """t-range keeping w + t*d inside the cone (w itself feasible)."""
+def _feasible_interval(w: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """t-range keeping w + t*d inside the orthant (w itself feasible)."""
     t_lo, t_hi = -_INF, _INF
-    if monotone:
-        alpha = np.concatenate([w[:-1] - w[1:], w[-1:]])
-        beta = np.concatenate([d[:-1] - d[1:], d[-1:]])
-    else:
-        alpha, beta = w, d
-    alpha = np.maximum(alpha, 0.0)
-    for a, b in zip(alpha, beta):
+    for a, b in zip(np.maximum(w, 0.0), d):
         if b > 1e-300:
             t_lo = max(t_lo, -a / b)
         elif b < -1e-300:
@@ -401,27 +332,22 @@ def maximize_linear_on_ball(
     c: np.ndarray,
     norm_fn: Callable[[np.ndarray], float],
     *,
-    monotone: bool,
     rng: np.random.Generator,
-    extra_starts: Sequence[np.ndarray] = (),
     n_random_starts: int = 6,
     subgrad_iters: int = 40,
     max_passes: int = 18,
 ) -> MaximizeResult:
-    """Maximize <c, w> over {w in cone : norm_fn(w) <= 1}.
+    """Maximize <c, w> over {w >= 0 : norm_fn(w) <= 1}; uncertified.
 
-    cone is the nonnegative orthant, intersected with the nonincreasing cone
-    when ``monotone`` is set.  norm_fn must be convex, positively homogeneous
-    and nonnegative on the cone, which makes the ratio <c, w>/norm_fn(w)
-    quasiconcave: every line slice is unimodal, so golden-section line
-    searches cannot get trapped below the optimum except on flats, which the
-    restarts and the extra direction families are there to cross.
+    norm_fn must be convex, positively homogeneous and nonnegative on the
+    orthant, which makes the ratio <c, w>/norm_fn(w) quasiconcave: every line
+    slice is unimodal, so golden-section line searches cannot get trapped
+    below the optimum except on flats, which the restarts and the random
+    directions are there to cross.  This is the fallback for seminorms with
+    neither analytic facets nor a modular unit ball.
     """
     n = c.size
     evals = 0
-
-    def project(w: np.ndarray) -> np.ndarray:
-        return project_decreasing_nonneg(w) if monotone else np.maximum(w, 0.0)
 
     def ratio(w: np.ndarray) -> tuple[float, float]:
         """(<c, w> / norm_fn(w), norm_fn(w)); counts the evaluation."""
@@ -437,23 +363,15 @@ def maximize_linear_on_ball(
         return float(np.dot(c, w)) / nrm, nrm
 
     starts: list[np.ndarray] = []
-    cpos = project(c.copy())
+    cpos = np.maximum(c, 0.0)
     if cpos.max() > 0:
         starts.append(cpos)
     starts.append(np.ones(n))
     spike = np.zeros(n)
-    spike[0 if monotone else int(np.argmax(c))] = 1.0
+    spike[int(np.argmax(c))] = 1.0
     starts.append(spike)
-    if monotone:
-        greedy = _greedy_staircase(norm_fn, n)
-        if greedy is not None:
-            starts.append(greedy)
-    for h in extra_starts:
-        h = project(np.asarray(h, dtype=float))
-        if h.max() > 0:
-            starts.append(h)
     for _ in range(n_random_starts):
-        starts.append(project(np.abs(rng.standard_normal(n))))
+        starts.append(np.abs(rng.standard_normal(n)))
 
     c_dir = c / max(float(np.linalg.norm(c)), 1e-300)
     scored: list[tuple[float, np.ndarray]] = []
@@ -465,7 +383,7 @@ def maximize_linear_on_ball(
         best_w = w.copy()
         step0 = float(np.abs(w).max()) or 1.0
         for k in range(subgrad_iters):
-            w = project(w + step0 / math.sqrt(k + 1.0) * c_dir)
+            w = np.maximum(w + step0 / math.sqrt(k + 1.0) * c_dir, 0.0)
             r, nrm = ratio(w)
             if nrm > 1.0 and math.isfinite(nrm):
                 w = w / nrm
@@ -483,18 +401,9 @@ def maximize_linear_on_ball(
         r_cur, _ = ratio(w)
         local_converged = False
         xtol_idx = 0
-        for pass_no in range(max_passes):
+        for _ in range(max_passes):
             r_pass = r_cur
             directions: list[np.ndarray] = [np.eye(n)[i] for i in range(n)]
-            if monotone:
-                directions += prefix_indicators(n)[1:]
-                # transfers walk polytope edges that coordinate and prefix
-                # moves stall on (raise a block, lower the next coordinate)
-                for i in range(n - 1):
-                    d = np.zeros(n)
-                    d[: i + 1] = 1.0
-                    d[i + 1] = -1.0
-                    directions.append(d)
             directions.append(c_dir - w * (float(np.dot(c_dir, w)) / max(float(np.dot(w, w)), 1e-300)))
             for _ in range(max(2, n // 2)):
                 directions.append(rng.standard_normal(n))
@@ -504,12 +413,12 @@ def maximize_linear_on_ball(
                 if dn <= 0:
                     continue
                 d = d / dn
-                t_lo, t_hi = _feasible_interval(w, d, monotone)
+                t_lo, t_hi = _feasible_interval(w, d)
                 t_lo = max(t_lo, -16.0 * scale_w)
                 t_hi = min(t_hi, 16.0 * scale_w)
                 if t_hi - t_lo <= 1e-16 * scale_w:
                     continue
-                # w + t*d stays in the cone on [t_lo, t_hi]; no projection needed
+                # w + t*d stays in the orthant on [t_lo, t_hi]; no projection needed
                 t_best, r_best = golden_max_interval(
                     lambda t: ratio(w + t * d)[0],
                     t_lo,
@@ -517,7 +426,7 @@ def maximize_linear_on_ball(
                     rel_xtol=_XTOLS[xtol_idx],
                 )
                 if r_best > r_cur:
-                    w = project(w + t_best * d)
+                    w = np.maximum(w + t_best * d, 0.0)
                     r_cur = r_best
                     m = float(np.abs(w).max())
                     if m > 0:
@@ -750,7 +659,7 @@ def maximize_linear_on_polytope(
         if fresh:
             tab, basis = _tableau(f, a)
         _primal_simplex(tab, basis)
-    return MaximizeResult(best_val, best_x, converged, evals, max(upper * scale, best_val))
+    return MaximizeResult(best_val, best_x, converged, evals, max(upper * scale * _ROUND_UP, best_val))
 
 
 @dataclass(frozen=True, eq=False)
@@ -784,43 +693,41 @@ class SmoothModular:
         x = t / (self.scale * self.rate)
         if self.kind == "power":
             return self.scale * (self.rate - 1.0) * x ** (self.rate / (self.rate - 1.0))
-        x = np.maximum(x, 1.0)
-        return self.scale * (x * np.log(x) - x + 1.0)
+        # x log x - x + 1 at x = 1 + d, with log1p: near x = 1 the terms
+        # cancel to d**2 / 2, and scale can be as large as 1/theta
+        d = np.maximum(x, 1.0) - 1.0
+        return self.scale * ((1.0 + d) * np.log1p(d) - d)
 
 
-def maximize_linear_on_modular_ball(
-    c: np.ndarray,
-    probs: np.ndarray,
-    modular: SmoothModular,
-    norm_fn: Callable[[np.ndarray], float],
-    rel_tol: float,
-) -> MaximizeResult:
-    """Maximize <c, w> over {w >= 0 : norm_fn(w) <= 1} for a modular ball.
+def amemiya_multiplier(
+    a: np.ndarray, probs: np.ndarray, modular: SmoothModular, rel_tol: float
+) -> tuple[float, float]:
+    """(mu, L(mu)) at the multiplier of the modular ball, for a >= 0.
 
-    The ball must be {w >= 0 : sum_i probs_i Phi_i(w_i) <= 1}, and c >= 0
-    not all zero.  With a = c / probs the Lagrangian leaves one multiplier
-    mu: w_i(mu) = (Phi_i')^-1(a_i / mu) maximizes <c, w> - mu * modular, and
-    weak duality bounds the maximum by the Amemiya expression
-    L(mu) = mu * (1 + sum_i probs_i Phi_i*(a_i / mu)) at every mu > 0
-    (Rockafellar 1970, section 28; Hudzik and Maligranda 2000).
+    The ball is {w >= 0 : sum_i probs_i Phi_i(w_i) <= 1}.  With
+    w_i(mu) = (Phi_i')^-1(a_i / mu), the maximizer of E[a w] - mu * modular,
+    weak duality bounds sup{E[a w] : w in the ball} by the Amemiya expression
+    L(mu) = mu * (1 + sum_i probs_i Phi_i*(a_i / mu)) at every mu > 0, and
+    the minimum over mu, the Amemiya norm of a, attains it (Rockafellar
+    1970, section 28; Hudzik and Maligranda 2000).
 
     mu is the root, in s = 1/mu, of sum_i probs_i Phi_i(w_i(1/s)) = 1, whose
     left side is increasing and convex.  For powers it is a power gauge in
     the conjugate exponents r/(r - 1); for the exp shape it is piecewise
     linear, and Newton from above stops on its exact root.  a is divided by
-    max(a), so the root does not depend on the scale of c.  The value is
-    <c, w> / N with N = norm_fn(w) * (1 + rel_tol), the upper end of the
-    seminorm's own gauge bracket, so it is a feasible lower bound; upper is
-    L(mu).  rel_tol is also the root's relative tolerance.  n_evals counts
-    seminorm evaluations.
+    max(a), so the root does not depend on the scale of a; rel_tol is the
+    root's relative tolerance.  L(mu) is a bound at any mu, and it is
+    rounded up so that it stays one under rounding.  (0, 0) when a is zero.
     """
-    scale = float((c / probs).max())
-    a = c / probs / scale
+    scale = float(a.max())
+    if scale <= 0.0:
+        return 0.0, 0.0
+    a = a / scale
     if modular.kind == "power":
         k, r = modular.scale, modular.rate
         q = r / (r - 1.0)
         # probs * Phi(w(a s)) = probs * k * (k r)**-q * (a s)**q
-        _, mu, _ = _power_gauge(a, probs * k * (k * r) ** -q, q, rel_tol)
+        mu = _power_gauge(a, probs * k * (k * r) ** -q, q, rel_tol)
     else:
         # probs * Phi(w(a s)) = probs * max(a s / rate - scale, 0)
         slope = a / modular.rate
@@ -831,8 +738,28 @@ def maximize_linear_on_modular_ball(
             modular.rate[top] * (modular.scale[top] + 1.0 / probs[top]),
             rel_tol,
         )
+    amemiya = mu * (1.0 + float(np.dot(probs, modular.phi_star(a / mu))))
+    return scale * mu, scale * amemiya * _ROUND_UP
+
+
+def maximize_linear_on_modular_ball(
+    a: np.ndarray,
+    probs: np.ndarray,
+    modular: SmoothModular,
+    norm_fn: Callable[[np.ndarray], float],
+    rel_tol: float,
+) -> MaximizeResult:
+    """Maximize sum_i probs_i a_i w_i over {w >= 0 : norm_fn(w) <= 1}.
+
+    The ball must be the modular set {w >= 0 : sum_i probs_i Phi_i(w_i) <= 1},
+    and a >= 0 not all zero.  amemiya_multiplier gives the multiplier mu and
+    the bound upper = L(mu), and w = (Phi')^-1(a / mu) attains it.  The value
+    is the pairing of w / N with N = norm_fn(w) * (1 + rel_tol), the upper
+    end of the seminorm's own gauge bracket, so it is a feasible lower
+    bound.  n_evals counts seminorm evaluations.
+    """
+    mu, upper = amemiya_multiplier(a, probs, modular, rel_tol)
     w = modular.dphi_inv(a / mu)
     x = w / (norm_fn(w) * (1.0 + rel_tol))
-    value = float(np.dot(c, x))
-    upper = scale * mu * (1.0 + float(np.dot(probs, modular.phi_star(a / mu))))
+    value = float(np.dot(probs * a, x))
     return MaximizeResult(value, x, True, 1, max(upper, value))

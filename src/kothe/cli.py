@@ -462,7 +462,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
             worst_dev = max(worst_dev, dev)
         add("sandwich", worst_dev <= sandwich_slack, worst_dev)
 
-    if isinstance(spec, MarcinkiewiczNorm) and space.is_uniform:
+    if isinstance(spec, MarcinkiewiczNorm):
         worst_agree = 0.0
         for _ in range(3):
             y = Rv(rng.standard_normal(n))

@@ -8,10 +8,11 @@ applies:
 - Kelley cutting planes on the analytic facets of the polyhedral families;
 - one Lagrange multiplier for the modular balls (Lp with 1 < p < inf,
   Luxemburg over power or exp families, the entropic risk norm), and the
-  Luxemburg gauge for the Amemiya dual norm;
-- projected-subgradient ascent with line-search polishing for the rest
-  (custom seminorms and risk measures, tabulated and indicator Young
-  functions).
+  primal norm for their dual, the Amemiya norm;
+- projected-subgradient ascent with line searches over the orthant for the
+  rest (custom seminorms and risk measures, tabulated, indicator and linear
+  Young functions, generalized Orlicz norms, the entropic risk norm past
+  theta = 500, the numeric dual of ``verify_bipolar``).
 
 The first two are exact and carry a certified upper bound; the last carries
 none.  Closed-form duals, where registered, only provide certificates (the
@@ -28,7 +29,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._optim import (
+    _ROUND_UP,
     MaximizeResult,
+    amemiya_multiplier,
     maximize_linear_on_ball,
     maximize_linear_on_modular_ball,
     maximize_linear_on_polytope,
@@ -43,9 +46,7 @@ from .norms import (
     MarcinkiewiczNorm,
     RiskNorm,
     Seminorm,
-    _amemiya_arr,
     _conjugate_exponent,
-    _smooth_modular,
     check_axioms,
     gen_orlicz_dual_norm,
 )
@@ -54,7 +55,6 @@ from .risk import (
     _avar_dual_facet,
     _avar_dual_gauge_exact,
     _dual_inf_form,
-    dual_gauge_exact,
     penalty_gauge,
 )
 from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space, pairing
@@ -137,17 +137,18 @@ def polar(
 
     By solidity and symmetry the optimal u has u_i * y_i >= 0 and depends on
     y only through |y|, so the search runs over the nonnegative orthant; on
-    uniform spaces with a rearrangement-invariant spec it further restricts
-    to nonincreasing profiles comonotone with |y| sorted.  Specs with a
-    ``linear_piece_arr`` (L1, Linf, Marcinkiewicz, Lorentz, the avar risk
-    norm and the avar dual gauge) are solved exactly by Kelley cutting
+    uniform spaces with a rearrangement-invariant spec it runs on |y| sorted
+    down, and the cutting planes restrict to nonincreasing profiles.  Specs
+    with a ``linear_piece_arr`` (L1, Linf, Marcinkiewicz, Lorentz, the avar
+    risk norm and the avar dual gauge) are solved exactly by Kelley cutting
     planes, specs with a ``smooth_modular`` (Lp, power and exp Luxemburg,
-    the entropic risk norm) and the Amemiya dual norm exactly by one
-    Lagrange multiplier; the budget parameters only act on the line-search
-    optimizer that serves the rest.  ``enumerate_full`` re-evaluates the
-    seminorm on every signed permutation of the best profile (small spaces
-    only); by default a permutation sweep without re-evaluation confirms
-    uncertified results for invariant specs on up to six atoms.
+    the entropic risk norm) and their Amemiya dual norms exactly by one
+    Lagrange multiplier.  The rest go to the uncertified orthant line
+    search; the budget parameters act on it alone and default to its own.
+    ``enumerate_full`` re-evaluates the seminorm on every signed permutation
+    of the best profile (small spaces only); by default a permutation sweep
+    without re-evaluation confirms uncertified results for invariant specs
+    on up to six atoms.
     """
     _check_on_space(space, y, "y")
     if axiom_check:
@@ -184,26 +185,9 @@ def polar(
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
-        hints = []
-        for h in spec.polar_start_profiles(space, np.abs(z)[order]):
-            # profiles come nonincreasing; lay them comonotone with |y|
-            arranged = np.empty(n)
-            arranged[order] = np.sort(np.abs(h))[::-1]
-            hints.append(arranged[index])
-        if n_random_starts is None:
-            n_random_starts = 3 if use_comonotone else 20
-        if subgrad_iters is None:
-            subgrad_iters = 20 + 5 * n if use_comonotone else 15 + 4 * n
-        res = maximize_linear_on_ball(
-            c,
-            norm_fn,
-            monotone=use_comonotone,
-            rng=np.random.default_rng(seed),
-            extra_starts=hints,
-            n_random_starts=n_random_starts,
-            subgrad_iters=subgrad_iters,
-            **({"max_passes": max_passes} if max_passes is not None else {}),
-        )
+        budget = {"n_random_starts": n_random_starts, "subgrad_iters": subgrad_iters, "max_passes": max_passes}
+        budget = {k: v for k, v in budget.items() if v is not None}
+        res = maximize_linear_on_ball(c, norm_fn, rng=np.random.default_rng(seed), **budget)
     profile = res.x
     u_vals = np.empty(n)
     u_vals[index] = profile
@@ -252,18 +236,18 @@ def _smooth_polar(
 ) -> MaximizeResult | None:
     """The exact polar at |y| = a, in atom order, for modular unit balls and
     the Amemiya dual norm; None for other specs."""
-    c = space.probs * a
     if isinstance(spec, _AmemiyaDualNorm):
         found = spec.polar_witness(space, a, tol)
         if found is None:
             return None
         w, lam = found
         x = w / norm_fn(w)
-        return MaximizeResult(float(np.dot(c, x)), x, True, 1, lam * (1.0 + tol.gauge_rel))
+        upper = lam * (1.0 + tol.gauge_rel) * _ROUND_UP
+        return MaximizeResult(float(np.dot(space.probs * a, x)), x, True, 1, upper)
     modular = spec.smooth_modular(space)
     if modular is None:
         return None
-    return maximize_linear_on_modular_ball(c, space.probs, modular, norm_fn, tol.gauge_rel)
+    return maximize_linear_on_modular_ball(a, space.probs, modular, norm_fn, tol.gauge_rel)
 
 
 class _AvarDualNorm(Seminorm):
@@ -285,61 +269,61 @@ class _AvarDualNorm(Seminorm):
 
 
 class _AmemiyaDualNorm(Seminorm):
-    """The dual norm of the Luxemburg norm of a Young family Phi: the
-    Amemiya (Orlicz) norm inf_b b * (1 + E Phi*(|x|/b)).  Its own polar is
-    that Luxemburg norm, and Young's equality supplies the witness."""
+    """The dual norm of a seminorm whose unit ball is a modular set
+    {E Phi(|x|) <= 1}: a Luxemburg norm, or the entropic risk norm.  It is
+    the Amemiya (Orlicz) norm inf_b b * (1 + E Phi*(|x|/b)); its own polar is
+    that primal seminorm, and Young's equality supplies the witness."""
 
     name = "amemiya-dual"
 
-    def __init__(self, family: MusielakFamily):
-        self.family = family
-        self.conj = family.conjugate()
-        self.rearrangement_invariant = family.is_constant
+    def __init__(self, primal: LuxemburgNorm | RiskNorm):
+        self.primal = primal
+        self.rearrangement_invariant = primal.rearrangement_invariant
 
     def _value_arr(self, space, x, tol):
-        return _amemiya_arr(space.probs, x, self.conj, tol)
+        modular = self.primal.smooth_modular(space)
+        if modular is None:
+            # a Young family without a closed-form Phi': its golden route
+            return self.primal.dual_value_arr(space, x, tol)
+        return amemiya_multiplier(np.abs(x), space.probs, modular, tol.gauge_rel)[1]
 
     def polar_witness(
         self, space: FiniteProbSpace, a: np.ndarray, tol: Tolerances
     ) -> tuple[np.ndarray, float] | None:
-        """(w, lam) for a >= 0: lam is the Luxemburg norm of a, and
+        """(w, lam) for a >= 0: lam is the primal norm of a, and
         w = Phi'(a / lam) attains it, <p a, w> = lam * (this norm of w).
 
         With v = a / lam, E Phi(v) = 1, and b = 1 in the Amemiya infimum at w
         gives E Phi*(Phi'(v)) + 1 = E[v Phi'(v)], its minimum, so the ratio
         is lam.  None when Phi' has no closed form here.
         """
-        modular = _smooth_modular(self.family)
+        modular = self.primal.smooth_modular(space)
         if modular is None:
             return None
-        lam = LuxemburgNorm(self.family)._value_arr(space, a, tol)
+        lam = self.primal._value_arr(space, a, tol)
         v = a / lam
         return np.where(v > 0.0, modular.dphi(v), 0.0), lam
 
 
 def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
-    """A seminorm object evaluating the closed-form polar of spec, if known."""
+    """A seminorm object evaluating the closed-form polar of spec, if known.
+
+    None for custom seminorms and risk measures, for the generalized Orlicz
+    norms, for Lorentz norms off uniform spaces and for the entropic risk
+    norm past theta = 500, which has no modular form.
+    """
     if isinstance(spec, LpNorm):
         return LpNorm(_conjugate_exponent(spec.p))
-    if isinstance(spec, MarcinkiewiczNorm) and space.is_uniform:
+    if isinstance(spec, MarcinkiewiczNorm):
         return LorentzNorm(spec.phi)
     if isinstance(spec, LorentzNorm) and space.is_uniform:
         return MarcinkiewiczNorm(spec.phi)
-    if isinstance(spec, LuxemburgNorm):
-        return _AmemiyaDualNorm(spec.family)
     if isinstance(spec, RiskNorm) and spec.rho.kind == "avar":
         return _AvarDualNorm(spec.rho.level)
-    if isinstance(spec, RiskNorm) and spec.rho.kind == "entropic":
-        rho = spec.rho
-
-        def risk_fn(sp: FiniteProbSpace, x: np.ndarray, _rho=rho) -> float:
-            return dual_gauge_exact(sp, _rho, x)
-
-        return CustomSeminorm(
-            risk_fn,
-            rearrangement_invariant=spec.rearrangement_invariant,
-            name="risk-dual",
-        )
+    if isinstance(spec, LuxemburgNorm) or (
+        isinstance(spec, RiskNorm) and spec.smooth_modular(space) is not None
+    ):
+        return _AmemiyaDualNorm(spec)
     return None
 
 

@@ -2,9 +2,8 @@
 
 Each family is a small class with a shared interface: evaluation on a random
 variable, an optional closed-form dual, and for the polar optimizer analytic
-facets (polyhedral families), per-atom Young functions (modular balls) or
-optional starting profiles.  Free
-functions mirror the class API for the common cases.  The axiom checker is
+facets (polyhedral families) or per-atom Young functions (modular balls).
+Free functions mirror the class API for the common cases.  The axiom checker is
 randomized and report-only; it never mutates the spec it inspects.
 """
 
@@ -20,12 +19,13 @@ import numpy as np
 from ._optim import (
     SmoothModular,
     _power_gauge,
+    amemiya_multiplier,
     bisect_gauge,
     minimize_convex_on_orthant,
     minimize_scalar_convex,
     prefix_indicators,
 )
-from .risk import RiskMeasureSpec, _avar_density, _risk_norm_arr
+from .risk import RiskMeasureSpec, _avar_density, _entropic_modular, _risk_norm_arr
 from .space import (
     DEFAULT_TOL,
     CheckItem,
@@ -182,10 +182,6 @@ class Seminorm(abc.ABC):
         """
         return None
 
-    def polar_start_profiles(self, space: FiniteProbSpace, z: np.ndarray) -> list[np.ndarray]:
-        """Optional starting profiles for the line-search polar optimizer."""
-        return []
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"
 
@@ -261,8 +257,7 @@ class LuxemburgNorm(Seminorm):
             # E Phi(a/beta) = sum(prob_i * scale_i * (a_i/beta)**p_i)
             mask = a > 0.0
             coef = space.probs[mask] * self.family._pow_scale[mask]  # type: ignore[attr-defined]
-            m, gamma, _ = _power_gauge(a[mask], coef, pw[mask], tol.gauge_rel)
-            return m * gamma
+            return _power_gauge(a[mask], coef, pw[mask], tol.gauge_rel)
         # the gauge is positively homogeneous: bisect on a / max(a) at any scale
         m = float(a.max())
         a = a / m
@@ -272,14 +267,11 @@ class LuxemburgNorm(Seminorm):
         )
 
     def dual_value_arr(self, space, z, tol):
-        return _amemiya_arr(space.probs, z, self.family.conjugate(), tol)
+        return _amemiya_arr(space.probs, z, self.family, tol)
 
     def smooth_modular(self, space):
         _check_family_size(self.family, space.n_atoms)
         return _smooth_modular(self.family)
-
-    def polar_start_profiles(self, space, z):
-        return [np.abs(z)]
 
 
 def _check_family_size(family: MusielakFamily, n: int) -> None:
@@ -337,8 +329,8 @@ class MarcinkiewiczNorm(Seminorm):
         return _marcinkiewicz_arr(space.probs, x, self.phi)
 
     def dual_value_arr(self, space, z, tol):
-        if not space.is_uniform:
-            return None
+        # in x = p * w the unit ball is the polymatroid x(S) <= phi(P(S)),
+        # where the greedy vertex in |z| order maximizes: the Lorentz norm
         return _lorentz_arr(space.probs, z, self.phi)
 
     def linear_piece_arr(self, space, a):
@@ -425,18 +417,7 @@ class RiskNorm(Seminorm):
         return _avar_density(space.probs, a, self.rho.level)
 
     def smooth_modular(self, space):
-        # the ball {E e^(theta w) <= e^theta} is the modular set of
-        # Phi(w) = (e^(theta w) - 1) / (e^theta - 1); past theta = 500 the
-        # terms e^(theta w) on the ball near the float ceiling, and the line
-        # search serves those
-        theta = self.rho.theta
-        if self.rho.kind != "entropic" or theta > 500.0:
-            return None
-        n = space.n_atoms
-        return SmoothModular("exp", np.full(n, 1.0 / math.expm1(theta)), np.full(n, theta))
-
-    def polar_start_profiles(self, space, z):
-        return prefix_indicators(z.size)
+        return _entropic_modular(self.rho, space.n_atoms)
 
 
 class GenOrliczNorm(Seminorm):
@@ -523,22 +504,17 @@ def luxemburg_norm(
 def _amemiya_arr(
     probs: np.ndarray,
     z: np.ndarray,
-    conj_family: MusielakFamily,
+    family: MusielakFamily,
     tol: Tolerances,
 ) -> float:
+    """inf over beta of beta * (1 + E Phi*(|z|/beta)) for the family Phi."""
     a = np.abs(z)
+    modular = _smooth_modular(family)
+    if modular is not None:
+        return amemiya_multiplier(a, probs, modular, tol.gauge_rel)[1]
     if not np.any(a > 0.0):
         return 0.0
-    q = conj_family._pow_p  # type: ignore[attr-defined]
-    if q is not None and np.all(q > 1.0):
-        # sum(C_i * beta**(1 - q_i)) + beta with C_i = p_i * c_i * a_i**q_i is
-        # stationary where sum((q_i - 1) * C_i / beta**q_i) = 1, a power gauge
-        mask = a > 0.0
-        qm = q[mask]
-        coef = (qm - 1.0) * probs[mask] * conj_family._pow_scale[mask]  # type: ignore[attr-defined]
-        m, gamma, w = _power_gauge(a[mask], coef, qm, tol.gauge_rel)
-        return m * gamma * (float(np.dot(w / (qm - 1.0), gamma**-qm)) + 1.0)
-
+    conj_family = family.conjugate()
     # the infimum is positively homogeneous in a: minimize on a / max(a)
     m = float(a.max())
     a = a / m
@@ -559,15 +535,15 @@ def amemiya_dual_norm(
 ) -> float:
     """inf over beta of beta * E Phi*(|y|/beta) + beta.
 
-    When every Phi* is c * x**q with q > 1, the minimizer solves the
-    stationarity equation sum((q_i - 1) * p_i * c_i * (|y_i|/beta)**q_i) = 1
-    by the safeguarded Newton of the power Luxemburg gauge.  Other families
+    When every Phi is a power x**p with p > 1 or every Phi is e^x - 1, the
+    minimizing beta is the Lagrange multiplier of the Luxemburg ball of Phi,
+    one safeguarded Newton root (``amemiya_multiplier``).  Other families
     take a one-dimensional convex minimization by bracketing plus golden
     section.  The reported number is the infimal value, not a minimizer.
     """
     _check_on_space(space, y, "y")
     _check_family_size(family, space.n_atoms)
-    return _amemiya_arr(space.probs, y.values, family.conjugate(), tol)
+    return _amemiya_arr(space.probs, y.values, family, tol)
 
 
 def marcinkiewicz_norm(space: FiniteProbSpace, u: Rv, phi: PhiConcave) -> float:

@@ -14,7 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from ._optim import ConvergenceError, bisect_gauge, minimize_scalar_convex, newton_gauge
+from ._optim import (
+    ConvergenceError,
+    SmoothModular,
+    amemiya_multiplier,
+    bisect_gauge,
+    minimize_scalar_convex,
+    newton_gauge,
+)
 from .rearrange import _sorted_prefix, _tail_min
 from .space import (
     DEFAULT_TOL,
@@ -94,8 +101,26 @@ def custom_risk(
 
 
 def _entropic_arr(probs: np.ndarray, x: np.ndarray, theta: float) -> float:
-    m = float(np.max(theta * x))
-    return (m + math.log(float(np.dot(probs, np.exp(theta * x - m))))) / theta
+    t = theta * x
+    hi = float(t.max())
+    if hi <= 1.0 and float(t.min()) >= -1.0:
+        # near t = 0 the log of a sum near 1 would lose about 1e-16/theta of
+        # relative accuracy; the sum of expm1 keeps it
+        return math.log1p(float(np.dot(probs, np.expm1(t)))) / theta
+    return (hi + math.log(float(np.dot(probs, np.exp(t - hi))))) / theta
+
+
+def _entropic_modular(rho: RiskMeasureSpec, n: int) -> SmoothModular | None:
+    """The entropic risk-norm ball as a modular set; None for other measures.
+
+    The ball {w >= 0 : E e^(theta w) <= e^theta} is the modular set of
+    Phi(w) = (e^(theta w) - 1) / (e^theta - 1).  Past theta = 500 the terms
+    e^(theta w) on the ball near the float ceiling, so those get None too.
+    """
+    theta = rho.theta
+    if rho.kind != "entropic" or theta > 500.0:
+        return None
+    return SmoothModular("exp", np.full(n, 1.0 / math.expm1(theta)), np.full(n, theta))
 
 
 def _risk_arr(space: FiniteProbSpace, rho: RiskMeasureSpec, x: np.ndarray) -> float:
@@ -386,61 +411,24 @@ def _avar_density(probs: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return g
 
 
-def _entropic_alpha_exact(probs: np.ndarray, z: np.ndarray, theta: float) -> float:
-    """Exact entropic penalty by the stationarity support scan.
-
-    Finite exactly when E[z] <= 1; on the active support S the optimizer has
-    exp(theta*xi_i) = z_i * D with D = P(S^c) / (1 - sum_S p z), and the
-    value collapses to (sum_S p z log z - (1 - sum_S p z) log D) / theta.
-    The candidate supports are the top-k sets of z, k < n, so prefix sums
-    of p z and p z log z along one descending sort, and suffix sums of p,
-    give every candidate in O(n log n).
-    """
-    if not np.any(z > 0.0):
-        return 0.0
-    if float(np.dot(probs, z)) > 1.0 + 1e-13:
-        return _INF
-    order = np.argsort(-z)
-    zs = z[order]
-    ps = probs[order]
-    pz = ps * zs
-    # entry j describes the support of the j + 1 largest atoms; top is
-    # nondecreasing, so the scan ends at the first support with top >= 1,
-    # and the whole space (rest = 0) never qualifies
-    top = np.cumsum(pz)[:-1]
-    k = int(np.searchsorted(top, 1.0 - 1e-15))
-    top = top[:k]
-    d = np.cumsum(ps[::-1])[::-1][1 : k + 1] / (1.0 - top)
-    ok = (zs[:k] * d > 1.0) & (zs[1 : k + 1] * d <= 1.0 + 1e-12)
-    if not ok.any():
-        return 0.0
-    ent = np.cumsum(pz[:k] * np.log(np.where(zs[:k] > 0.0, zs[:k], 1.0)))
-    return max(0.0, float(((ent - (1.0 - top) * np.log(d))[ok]).max()) / theta)
-
-
 def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray) -> float | None:
     """Fast exact dual-norm evaluator for the built-in risk measures.
 
-    Used where the dual norm appears inside another optimization (bipolar
-    round trips); the slower penalty-based infimal form stays the reference
-    route in risk_dual_norm.
+    avar takes one sorted prefix scan.  The entropic norm ball is a modular
+    set (``_entropic_modular``), so its dual norm is the Amemiya norm of that
+    Phi, computed from one Lagrange multiplier by ``amemiya_multiplier``.
+    None for a custom rho and for entropic theta > 500, which have no such
+    form.  Used where the dual norm appears inside another optimization;
+    the slower penalty-based infimal form stays the reference route in
+    risk_dual_norm.
     """
     z = np.abs(z)
     if rho.kind == "avar":
         return _avar_dual_gauge_exact(space.probs, z, rho.level)
-    if rho.kind == "entropic":
-        if not np.any(z > 0.0):
-            return 0.0
-        # positively homogeneous in z: minimize on z / max(z)
-        m = float(z.max())
-        z = z / m
-
-        def objective(beta: float) -> float:
-            a = _entropic_alpha_exact(space.probs, z / beta, rho.theta)
-            return beta * a + beta
-
-        return m * minimize_scalar_convex(objective, x0=float(np.dot(space.probs, z)), tol=1e-12)[1]
-    return None
+    modular = _entropic_modular(rho, space.n_atoms)
+    if modular is None:
+        return None
+    return amemiya_multiplier(z, space.probs, modular, DEFAULT_TOL.gauge_rel)[1]
 
 
 def _dual_inf_form(

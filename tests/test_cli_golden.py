@@ -33,7 +33,9 @@ CONFIGS = (
 # the inner-Lorentz generalized-Orlicz dual runs a nested numeric polar and
 # alone takes longer than the rest of this file
 DUAL_CONFIGS = tuple(c for c in CONFIGS if c != "gen_orlicz_lorentz")
-CHECK_CONFIGS = ("lp1", "lp2", "avar_half", "marcinkiewicz_sqrt", "broken_signed_mean")
+CHECK_CONFIGS = (
+    "lp1", "lp2", "avar_half", "marcinkiewicz_sqrt", "broken_signed_mean", "entropic_one", "luxemburg_power2",
+)
 
 
 def _cases() -> list[list[str]]:

@@ -412,10 +412,13 @@ def test_mixed_power_amemiya_matches_minimizer_oracle(monkeypatch):
         )
         y = rng.standard_normal(n) * 10 ** rng.uniform(-1, 1)
         cases.append((space, y, fam, _amemiya_oracle(space, y, fam)))
+        # amemiya_exp: Phi = e^x - 1 on every atom
+        exp_fam = MusielakFamily.constant(young_exponential(), n)
+        cases.append((space, y, exp_fam, _amemiya_oracle(space, y, exp_fam)))
 
-    # the all-power route solves the stationarity equation and never minimizes
+    # the all-power and all-exp routes solve for one multiplier and never minimize
     def refuse(*args, **kwargs):
-        raise AssertionError("power families must not take the golden route")
+        raise AssertionError("power and exp families must not take the golden route")
 
     monkeypatch.setattr("kothe.norms.minimize_scalar_convex", refuse)
     for space, y, fam, expected in cases:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kothe import FiniteProbSpace, Rv, avar, lorentz_norm, pairing, phi_sqrt, polar
+from kothe import FiniteProbSpace, Rv, avar, lorentz_norm, pairing, phi_sqrt, polar, verify_bipolar
 from kothe.cli import main
 from kothe.duality import dual_spec_of
 from kothe.norms import CustomSeminorm, LorentzNorm, LpNorm, MarcinkiewiczNorm, RiskNorm, Seminorm
@@ -178,6 +178,22 @@ def test_upper_bound_on_every_path_but_callbacks():
     # the avar(1/2) dual norm is max(E|y|, max|y| / 2) = max(1.625, 1.5)
     assert polar(space, RiskNorm(avar(0.5)), y).upper == pytest.approx(1.625, rel=1e-12)
     assert polar(space, LpNorm(1.0), Rv.zero(4)).upper == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_marcinkiewicz_closed_form_dual_on_nonuniform_spaces(n):
+    # in x = p * w the Marcinkiewicz ball is the polymatroid x(S) <= phi(P(S)),
+    # maximized by the greedy vertex in |y| order: the Lorentz norm of y
+    rng = np.random.default_rng(300 + n)
+    space = FiniteProbSpace(rng.dirichlet(np.ones(n)))
+    spec = MarcinkiewiczNorm(phi_sqrt())
+    assert isinstance(dual_spec_of(space, spec), LorentzNorm)
+    for _ in range(3):
+        y = Rv(rng.standard_normal(n))
+        res = polar(space, spec, y)
+        assert res.value == pytest.approx(lorentz_norm(space, y, phi_sqrt()), rel=1e-12)
+        assert res.gap <= 1e-12
+        assert verify_bipolar(space, spec, y).rel_gap <= 1e-9
 
 
 class _FirstCoordinate(Seminorm):
