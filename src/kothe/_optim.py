@@ -26,6 +26,8 @@ __all__ = [
     "SmoothModular",
     "amemiya_multiplier",
     "maximize_linear_on_modular_ball",
+    "GenOrliczDualResult",
+    "gen_orlicz_dual_brackets",
 ]
 
 _INF = math.inf
@@ -36,6 +38,8 @@ _XTOLS = (3e-5, 3e-7, 3e-9, 3e-11)
 # cutting planes: stop at this relative bracket width, or after this many cuts
 _KELLEY_GAP = 1e-12
 _KELLEY_ITERS = 500
+# generalized Orlicz program: cuts per solve and Newton steps per master
+_CUT_ITERS = 100
 # simplex: smallest usable pivot element, smallest reduced cost worth a
 # pivot (costs are scaled to max 1), and pivots per solve
 _PIVOT_TOL = 1e-9
@@ -59,8 +63,9 @@ def bisect_gauge(
 ) -> float:
     """inf{b > 0 : pred(b)} for pred that is monotone (False below, True above).
 
-    Returns 0.0 when pred holds arbitrarily close to zero and +inf when it
-    never holds within the expansion budget.
+    Returns the upper end of the final bracket, at which pred holds, so a
+    point scaled by the result is feasible; 0.0 when pred holds arbitrarily
+    close to zero and +inf when it never holds within the expansion budget.
     """
     hi = max(hi0, 1e-300)
     for _ in range(_MAX_EXPAND):
@@ -81,7 +86,7 @@ def bisect_gauge(
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def newton_gauge(
@@ -676,6 +681,14 @@ class SmoothModular:
     scale: np.ndarray
     rate: np.ndarray
 
+    def phi(self, w: np.ndarray) -> np.ndarray:
+        return self.scale * (w**self.rate if self.kind == "power" else np.expm1(self.rate * w))
+
+    def phi_inv(self, u: np.ndarray) -> np.ndarray:
+        if self.kind == "power":
+            return (u / self.scale) ** (1.0 / self.rate)
+        return np.log1p(u / self.scale) / self.rate
+
     def dphi(self, w: np.ndarray) -> np.ndarray:
         if self.kind == "power":
             return self.scale * self.rate * w ** (self.rate - 1.0)
@@ -687,6 +700,10 @@ class SmoothModular:
         if self.kind == "power":
             return x ** (1.0 / (self.rate - 1.0))
         return np.log(np.maximum(x, 1.0)) / self.rate
+
+    def dphi_inv_dlog(self, w: np.ndarray) -> np.ndarray:
+        """t times the derivative of (Phi_i')^-1 at t, for w = (Phi_i')^-1(t)."""
+        return w / (self.rate - 1.0) if self.kind == "power" else np.where(w > 0.0, 1.0 / self.rate, 0.0)
 
     def phi_star(self, t: np.ndarray) -> np.ndarray:
         """The conjugate sup_w (t w - Phi_i(w)) for t >= 0."""
@@ -702,7 +719,8 @@ class SmoothModular:
 def amemiya_multiplier(
     a: np.ndarray, probs: np.ndarray, modular: SmoothModular, rel_tol: float
 ) -> tuple[float, float]:
-    """(mu, L(mu)) at the multiplier of the modular ball, for a >= 0.
+    """(mu, L(mu)) at the multiplier mu of the modular ball, for a >= 0;
+    mu is that of a / max(a), which does not underflow at any scale of a.
 
     The ball is {w >= 0 : sum_i probs_i Phi_i(w_i) <= 1}.  With
     w_i(mu) = (Phi_i')^-1(a_i / mu), the maximizer of E[a w] - mu * modular,
@@ -739,7 +757,7 @@ def amemiya_multiplier(
             rel_tol,
         )
     amemiya = mu * (1.0 + float(np.dot(probs, modular.phi_star(a / mu))))
-    return scale * mu, scale * amemiya * _ROUND_UP
+    return mu, scale * amemiya * _ROUND_UP
 
 
 def maximize_linear_on_modular_ball(
@@ -752,14 +770,156 @@ def maximize_linear_on_modular_ball(
     """Maximize sum_i probs_i a_i w_i over {w >= 0 : norm_fn(w) <= 1}.
 
     The ball must be the modular set {w >= 0 : sum_i probs_i Phi_i(w_i) <= 1},
-    and a >= 0 not all zero.  amemiya_multiplier gives the multiplier mu and
-    the bound upper = L(mu), and w = (Phi')^-1(a / mu) attains it.  The value
-    is the pairing of w / N with N = norm_fn(w) * (1 + rel_tol), the upper
-    end of the seminorm's own gauge bracket, so it is a feasible lower
-    bound.  n_evals counts seminorm evaluations.
+    and a >= 0 not all zero.  amemiya_multiplier gives the multiplier mu of
+    a / max(a) and the bound upper = L(mu), attained by
+    w = (Phi')^-1(a / (max(a) mu)).  The value is the pairing of
+    x = w / norm_fn(w), divided by 1 + rel_tol when x lies outside the ball
+    (a Newton gauge may sit up to rel_tol below the norm; a bisection gauge
+    returns the upper end of its bracket), so it is a feasible lower bound.
+    n_evals counts seminorm evaluations.
     """
     mu, upper = amemiya_multiplier(a, probs, modular, rel_tol)
-    w = modular.dphi_inv(a / mu)
-    x = w / (norm_fn(w) * (1.0 + rel_tol))
+    w = modular.dphi_inv(a / float(a.max()) / mu)
+    x = w / norm_fn(w)
+    if float(np.dot(probs, modular.phi(x))) > 1.0:
+        x = x / (1.0 + rel_tol)
     value = float(np.dot(probs * a, x))
     return MaximizeResult(value, x, True, 1, max(upper, value))
+
+
+@dataclass(frozen=True, eq=False)
+class GenOrliczDualResult:
+    """value <= sum form <= value_upper and max_form <= max form <=
+    max_form_upper; x attains value, v is the dual density of the upper
+    ends; n_evals counts evaluations of r and n_cuts its cuts; stop is "gap",
+    "no-cut" (the master's rounding floor), "budget" or "zero"."""
+
+    value: float
+    value_upper: float
+    max_form: float
+    max_form_upper: float
+    x: np.ndarray
+    v: np.ndarray
+    n_evals: int
+    n_cuts: int
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop in ("gap", "zero")
+
+
+def _cut_master(a, cuts, lam, c, modular: SmoothModular) -> tuple[np.ndarray, float]:
+    """(lam, D(lam)) at the minimum over lam >= 0 of the convex D(lam) =
+    c sum(lam) + sum_i s_i Phi_i*(a_i / s_i), s = lam @ cuts: the dual of max
+    a.x over {x >= 0 : cuts @ Phi(x) <= c}.  One log-log Newton step scales
+    lam (exact for powers); then Newton steps on the free multipliers are
+    projected onto lam >= 0 and damped in the Levenberg-Marquardt way, which
+    keeps them sound when the Hessian is singular.
+    """
+    pos = a > 0.0
+
+    def at(lam: np.ndarray):
+        """D(lam), x = (Phi')^-1(a / s) and the Hessian weights h."""
+        s = lam @ cuts
+        if np.any(s[pos] <= 0.0):
+            return _INF, s, s
+        t = np.divide(a, s, out=np.zeros_like(a), where=pos)
+        x = modular.dphi_inv(t)
+        h = np.divide(t * modular.dphi_inv_dlog(x), s, out=np.zeros_like(a), where=pos)
+        return c * lam.sum() + float(s @ modular.phi_star(t)), x, h
+
+    value, x, h = at(lam)
+    s = lam @ cuts
+    pushed = float(s @ modular.phi(x))
+    if pushed > 0.0:
+        lam = lam * math.exp(math.log(pushed / (c * lam.sum())) * pushed / float(h @ (s * s)))
+        value, x, h = at(lam)
+    nu = 1e-12
+    for _ in range(_CUT_ITERS):
+        grad = c - cuts @ modular.phi(x)
+        free = (lam > 0.0) | (grad < 0.0)
+        if np.all(np.abs(grad[free]) <= 1e-13 * c):
+            break
+        rows = cuts[free]
+        hess = (rows * h) @ rows.T
+        damp = np.trace(hess) / len(rows) + np.linalg.norm(grad[free]) / max(np.linalg.norm(lam[free]), 1e-300)
+        while nu < 1e6:
+            step = np.linalg.solve(hess + nu * damp * np.eye(len(rows)), -grad[free])
+            new = lam.copy()
+            new[free] = np.maximum(lam[free] + step, 0.0)
+            trial = at(new)
+            if trial[0] <= value + 1e-4 * float(grad @ (new - lam)) + 4e-16 * abs(value):
+                break
+            nu *= 100.0
+        else:
+            break
+        lam, (value, x, h), nu = new, trial, max(nu / 10.0, 1e-15)
+    return lam, value
+
+
+def gen_orlicz_dual_brackets(z, probs, modular: SmoothModular, r_fn, cut_fn) -> GenOrliczDualResult | None:
+    """Both forms of the generalized Orlicz dual at z >= 0, bracketed.
+
+    With a = probs * z and P(c) = sup{a.x : x >= 0, r(Phi(x)) <= c}, the sum
+    form is P(1) and the max form sup_c P(c) / (1 + c).  Kelley cuts g from
+    cut_fn (g >= 0, g.u = r(u) and g <= r on the orthant; None: no cuts, and
+    this returns None) relax the ball.  Any master multiplier lam bounds P(c)
+    by D(lam) and the max form by max(sum(lam), D(lam) - c sum(lam)) (Young);
+    the master point scaled onto the ball in u = Phi(x), and a.x / (1 +
+    r(Phi(x))), give the lower ends.  Polyhedral r has finitely many cuts, so
+    the loop stops at the optimum.  The max form sits where sum(lam) = D(lam)
+    - c sum(lam); secant steps in log c find it, every solve keeping the cuts.
+    """
+    n = z.size
+    scale = float(z.max())
+    if scale <= 0.0:
+        return GenOrliczDualResult(0.0, 0.0, 0.0, 0.0, np.zeros(n), np.zeros(n), 0, 0, "zero")
+    a = probs * (z / scale)
+    starts = [cut_fn(e) for e in np.eye(n)[a > 0.0]]
+    if starts[0] is None:
+        return None
+    cuts = np.unique(np.array(starts), axis=0)
+    lam = np.ones(len(cuts))
+    n_evals, n_cuts = 0, len(starts)
+
+    def solve(c: float):
+        """P(c): stop, master point x, r(Phi(x)), feasible point and value, D."""
+        nonlocal cuts, lam, n_evals, n_cuts
+        for _ in range(_CUT_ITERS):
+            lam, dual = _cut_master(a, cuts, lam, c, modular)
+            x = modular.dphi_inv(np.divide(a, lam @ cuts, out=np.zeros(n), where=a > 0.0))
+            u = modular.phi(x)
+            rho = r_fn(u)
+            feasible = modular.phi_inv(u * (c / rho)) if rho > c else x
+            lower = float(a @ feasible)
+            n_evals += 1
+            if dual * _ROUND_UP - lower <= _KELLEY_GAP * dual:
+                return "gap", x, rho, feasible, lower, dual
+            g = cut_fn(u)
+            n_cuts += 1
+            if float(g @ u) <= c * (1.0 + 1e-13):
+                return "no-cut", x, rho, feasible, lower, dual
+            cuts, lam = np.vstack([cuts, g]), np.append(lam, 0.0)
+        return "budget", x, rho, feasible, lower, dual
+
+    stop, x, rho, witness, lower, dual = solve(1.0)
+    upper, last, ell, prev, max_lo, max_up = dual * _ROUND_UP, stop, 0.0, None, -_INF, _INF
+    for _ in range(_CUT_ITERS):
+        total = float(lam.sum())
+        rest = dual - math.exp(ell) * total
+        max_lo = max(max_lo, float(a @ x) / (1.0 + rho))
+        max_up = min(max_up, max(total, rest) * _ROUND_UP)
+        if max_up - max_lo <= _KELLEY_GAP * max_up or rest <= 0.0:
+            break
+        # the first step assumes the slope -1 of power Phi, where it is exact
+        h = math.log(total / rest)
+        step = h if prev is None or prev[1] == h else h * (ell - prev[0]) / (prev[1] - h)
+        prev, ell = (ell, h), ell + step
+        last, x, rho, _, _, dual = solve(math.exp(ell))
+    if stop == "gap" and max_up - max_lo > _KELLEY_GAP * max_up:
+        stop = last if last != "gap" else "budget"
+    v = scale * (lam @ cuts) / probs
+    return GenOrliczDualResult(
+        scale * lower, scale * upper, scale * max_lo, scale * max_up, witness, v, n_evals, n_cuts, stop
+    )

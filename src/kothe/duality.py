@@ -9,14 +9,15 @@ applies:
 - one Lagrange multiplier for the modular balls (Lp with 1 < p < inf,
   Luxemburg over power or exp families, the entropic risk norm), and the
   primal norm for their dual, the Amemiya norm;
+- cutting planes on the inner ball for generalized Orlicz norms;
 - projected-subgradient ascent with line searches over the orthant for the
   rest (custom seminorms and risk measures, tabulated, indicator and linear
-  Young functions, generalized Orlicz norms, the entropic risk norm past
-  theta = 500, the numeric dual of ``verify_bipolar``).
+  Young functions, the entropic risk norm past theta = 500, the numeric
+  dual of ``verify_bipolar``).
 
-The first two are exact and carry a certified upper bound; the last carries
-none.  Closed-form duals, where registered, only provide certificates (the
-``gap`` field), never the returned value.
+All but the last are exact and carry a certified upper bound.  Closed-form
+duals, where registered, only provide certificates (the ``gap`` field),
+never the returned value.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ class PolarResult:
     it alone does not tell a certified value from an uncertified one.  upper
     does: it is a certified upper bound on the polar (the final cutting-plane
     LP value for polyhedral unit balls, the Amemiya bound at the multiplier
-    for modular balls, the Luxemburg gauge for the Amemiya dual norm).  It is
-    None only on the uncertified line-search fallback.
+    for modular balls, the Luxemburg gauge for the Amemiya dual norm, the
+    dual value of the last master for generalized Orlicz norms).  It is None
+    only on the uncertified line-search fallback.
     """
 
     value: float
@@ -143,8 +145,9 @@ def polar(
     risk norm and the avar dual gauge) are solved exactly by Kelley cutting
     planes, specs with a ``smooth_modular`` (Lp, power and exp Luxemburg,
     the entropic risk norm) and their Amemiya dual norms exactly by one
-    Lagrange multiplier.  The rest go to the uncertified orthant line
-    search; the budget parameters act on it alone and default to its own.
+    Lagrange multiplier, generalized Orlicz norms by cutting planes on their
+    inner seminorm.  The rest go to the uncertified orthant line search;
+    the budget parameters act on it alone and default to its own.
     ``enumerate_full`` re-evaluates the seminorm on every signed permutation
     of the best profile (small spaces only); by default a permutation sweep
     without re-evaluation confirms uncertified results for invariant specs
@@ -234,8 +237,13 @@ def polar(
 def _smooth_polar(
     space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn, tol: Tolerances
 ) -> MaximizeResult | None:
-    """The exact polar at |y| = a, in atom order, for modular unit balls and
-    the Amemiya dual norm; None for other specs."""
+    """The exact polar at |y| = a, in atom order, for modular unit balls, the
+    Amemiya dual norm and generalized Orlicz norms; None for other specs."""
+    if isinstance(spec, GenOrliczNorm):
+        found = spec.dual_brackets(space, a, tol)
+        if found is None:
+            return None
+        return MaximizeResult(found.value, found.x, found.converged, found.n_evals, found.value_upper)
     if isinstance(spec, _AmemiyaDualNorm):
         found = spec.polar_witness(space, a, tol)
         if found is None:
@@ -425,7 +433,7 @@ def verify_sandwich(
         lower = penalty_gauge(space, hspec, y, seed=seed)
         _, value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed)
     elif isinstance(hspec, GenOrliczNorm):
-        res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner, seed=seed, tol=tol)
+        res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner, tol=tol)
         lower, value = res.max_form, res.value
     else:
         raise TypeError("hspec must be a MusielakFamily, RiskMeasureSpec or GenOrliczNorm")

@@ -17,11 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._optim import (
+    GenOrliczDualResult,
     SmoothModular,
     _power_gauge,
     amemiya_multiplier,
     bisect_gauge,
-    minimize_convex_on_orthant,
+    gen_orlicz_dual_brackets,
     minimize_scalar_convex,
     prefix_indicators,
 )
@@ -456,6 +457,30 @@ class GenOrliczNorm(Seminorm):
             rel_tol=tol.gauge_rel,
         )
 
+    def dual_brackets(
+        self, space: FiniteProbSpace, z: np.ndarray, tol: Tolerances
+    ) -> GenOrliczDualResult | None:
+        """Both forms of the dual norm at |y| = z; None when Phi' has no closed
+        form or the inner seminorm has neither facets nor a modular ball."""
+        modular = _smooth_modular(MusielakFamily.constant(self.phi, space.n_atoms))
+        ball = self.inner.smooth_modular(space)
+
+        def inner(u: np.ndarray) -> float:
+            return self.inner._value_arr(space, u, tol)
+
+        def cut(u: np.ndarray) -> np.ndarray | None:
+            g = self.inner.linear_piece_arr(space, u)
+            if g is not None or ball is None:
+                return g
+            # the normal of the modular ball {E Phi_r(w) <= 1} at w = u / r(u)
+            w = u / inner(u)
+            g = space.probs * ball.dphi(w)
+            return g / float(g @ w)
+
+        if modular is None:
+            return None
+        return gen_orlicz_dual_brackets(z, space.probs, modular, inner, cut)
+
 
 class CustomSeminorm(Seminorm):
     """Wrap a callable (space, values) -> float with declared properties."""
@@ -565,98 +590,32 @@ def gen_orlicz_norm(
     return GenOrliczNorm(phi, r).value(space, u, tol=tol)
 
 
-@dataclass(frozen=True, eq=False)
-class GenOrliczDualResult:
-    """Dual norm of the generalized Orlicz construction, both variational forms."""
-
-    value: float      # inf over v of E[v Phi*(y/v)] + r_polar(v)
-    max_form: float   # inf over v of max(r_polar(v), E[v Phi*(y/v)])
-    v: np.ndarray
-    converged: bool
-
-
-def _perspective_modular(
-    probs: np.ndarray, z: np.ndarray, phi_star: YoungFunction, v: np.ndarray
-) -> float:
-    """E[v Phi*(z/v)] with the closed perspective convention at v = 0.
-
-    At v_i = 0 the term is 0 when z_i = 0 and +inf otherwise; Phi* of a
-    finite-valued Young function grows superlinearly, so this is its lower
-    semicontinuous limit.
-    """
-    pos = v > 0.0
-    if np.any(~pos & (z > 0.0)):
-        return _INF
-    if not np.any(pos):
-        return 0.0
-    vals = phi_star.eval_array(z[pos] / v[pos])
-    if np.any(np.isinf(vals)):
-        return _INF
-    return float(np.dot(probs[pos] * v[pos], vals))
-
-
-def _dual_gauge_of(space: FiniteProbSpace, r: Seminorm, tol: Tolerances):
-    """Positively homogeneous callable computing the polar of r on arrays."""
-
-    def closed(v: np.ndarray) -> float | None:
-        return r.dual_value_arr(space, v, tol)
-
-    if closed(np.ones(space.n_atoms)) is not None:
-        return lambda v: closed(v)
-
-    from .duality import polar  # deferred import; duality builds on this module
-
-    return lambda v: polar(space, r, Rv(v), tol=tol).value
-
-
 def gen_orlicz_dual_norm(
     space: FiniteProbSpace,
     y: Rv,
     phi: YoungFunction,
     r: Seminorm,
     *,
-    seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
 ) -> GenOrliczDualResult:
-    """Minimize E[v Phi*(y/v)] + r_polar(v) over nonnegative densities v.
+    """Both forms of the dual norm of the generalized Orlicz norm, bracketed.
 
-    Both this sum form and the max form inf_v max(r_polar(v), E[v Phi*(y/v)])
-    are convex in v; they are minimized by line-search descent along
-    coordinates, the multiplicative scaling direction and random directions,
-    restarted from several seeded points.
+    The sum form inf_v E[v Phi*(|y|/v)] + r_polar(v) is the polar of the norm
+    itself, the max form inf_v max(r_polar(v), E[v Phi*(|y|/v)]) the polar of
+    the Amemiya norm of r(Phi(.)); ``gen_orlicz_dual_brackets`` computes both.
+    Phi must be x**p with p > 1 or e^x - 1, and r needs facets or a modular
+    unit ball; otherwise this raises ValueError.
     """
     _check_on_space(space, y, "y")
-    GenOrliczNorm(phi, r)._ensure_inner(space)
-    z = np.abs(y.values)
-    n = space.n_atoms
-    if not np.any(z > 0.0):
-        return GenOrliczDualResult(0.0, 0.0, np.zeros(n), True)
-    phi_star = phi.conjugate()
-    r_polar = _dual_gauge_of(space, r, tol)
-    probs = space.probs
-
-    def modular(v: np.ndarray) -> float:
-        return _perspective_modular(probs, z, phi_star, v)
-
-    def d_sum(v: np.ndarray) -> float:
-        m = modular(v)
-        return m + r_polar(v) if math.isfinite(m) else _INF
-
-    def d_max(v: np.ndarray) -> float:
-        m = modular(v)
-        return max(m, r_polar(v)) if math.isfinite(m) else _INF
-
-    rng = np.random.default_rng(seed)
-    scale = float(np.dot(probs, z))
-    starts = [
-        z / float(np.linalg.norm(z)),
-        np.full(n, scale),
-        np.abs(rng.standard_normal(n)) * scale + 1e-3 * scale,
-    ]
-    sum_val, v_sum, ok_sum = minimize_convex_on_orthant(d_sum, starts, rng)
-    # the max-form optimum has the same support structure; warm-start there
-    max_val, _, ok_max = minimize_convex_on_orthant(d_max, [v_sum] + starts[:2], rng)
-    return GenOrliczDualResult(sum_val, max_val, v_sum, ok_sum and ok_max)
+    norm = GenOrliczNorm(phi, r)
+    norm._ensure_inner(space)
+    res = norm.dual_brackets(space, np.abs(y.values), tol)
+    if res is None:
+        raise ValueError(
+            "the generalized Orlicz dual needs Phi = x**p (p > 1) or e^x - 1 "
+            "and an inner seminorm with facets or a modular unit ball"
+        )
+    return res
 
 
 # ---------------------------------------------------------------------------
