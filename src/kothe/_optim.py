@@ -338,9 +338,6 @@ def maximize_linear_on_ball(
     norm_fn: Callable[[np.ndarray], float],
     *,
     rng: np.random.Generator,
-    n_random_starts: int = 6,
-    subgrad_iters: int = 40,
-    max_passes: int = 18,
 ) -> MaximizeResult:
     """Maximize <c, w> over {w >= 0 : norm_fn(w) <= 1}; uncertified.
 
@@ -348,8 +345,10 @@ def maximize_linear_on_ball(
     orthant, which makes the ratio <c, w>/norm_fn(w) quasiconcave: every line
     slice is unimodal, so golden-section line searches cannot get trapped
     below the optimum except on flats, which the restarts and the random
-    directions are there to cross.  This is the fallback for seminorms with
-    neither analytic facets nor a modular unit ball.
+    directions are there to cross.  Three fixed starts and six random ones
+    take 40 projected-subgradient steps each, and the best two are polished
+    by at most 18 passes of line searches.  This is the fallback for
+    seminorms with neither analytic facets nor a modular unit ball.
     """
     n = c.size
     evals = 0
@@ -375,7 +374,7 @@ def maximize_linear_on_ball(
     spike = np.zeros(n)
     spike[int(np.argmax(c))] = 1.0
     starts.append(spike)
-    for _ in range(n_random_starts):
+    for _ in range(6):
         starts.append(np.abs(rng.standard_normal(n)))
 
     c_dir = c / max(float(np.linalg.norm(c)), 1e-300)
@@ -387,7 +386,7 @@ def maximize_linear_on_ball(
             w = w / nrm
         best_w = w.copy()
         step0 = float(np.abs(w).max()) or 1.0
-        for k in range(subgrad_iters):
+        for k in range(40):
             w = np.maximum(w + step0 / math.sqrt(k + 1.0) * c_dir, 0.0)
             r, nrm = ratio(w)
             if nrm > 1.0 and math.isfinite(nrm):
@@ -406,7 +405,7 @@ def maximize_linear_on_ball(
         r_cur, _ = ratio(w)
         local_converged = False
         xtol_idx = 0
-        for _ in range(max_passes):
+        for _ in range(18):
             r_pass = r_cur
             directions: list[np.ndarray] = [np.eye(n)[i] for i in range(n)]
             directions.append(c_dir - w * (float(np.dot(c_dir, w)) / max(float(np.dot(w, w)), 1e-300)))
@@ -588,14 +587,15 @@ def maximize_linear_on_polytope(
 ) -> MaximizeResult | None:
     """Maximize <c, w> over {w in cone : norm_fn(w) <= 1} for a polyhedral ball.
 
-    facet_fn(a) returns, for a >= 0, a vector g >= 0 from a finite set with
-    g.a = norm_fn(a) and g.x <= norm_fn(x) for every x >= 0, or None when
-    the seminorm has no such pieces (then this returns None).  Kelley's
-    cutting-plane method (1960) maximizes over {w : g.w <= 1 for the cuts so
-    far}, a relaxation of the ball, so each LP value bounds the maximum from
-    above; the LP point w scaled to w / norm_fn(w) is feasible and bounds it
-    from below; and the facet at w cuts w off until the two meet.  The
-    facets are finite, so this stops at the exact optimum.
+    facet_fn(a) returns, for a >= 0, a vector g >= 0 with g.a = norm_fn(a)
+    and g.x <= norm_fn(x) for every x >= 0, or None when the seminorm has
+    no such pieces (then this returns None).  Kelley's cutting-plane method
+    (1960) maximizes over {w : g.w <= 1 for the cuts so far}, a relaxation
+    of the ball, so each LP value bounds the maximum from above; the LP
+    point w scaled to w / norm_fn(w) is feasible and bounds it from below;
+    and the facet at w cuts w off until the two meet.  When the g come from
+    a finite set this stops at the exact optimum; otherwise the bounds
+    converge, and the width at the stop is reported.
 
     c >= 0.  cone is the nonnegative orthant, or with ``monotone`` the
     nonincreasing cone, written as w_i = sum_{j >= i} d_j over increments

@@ -5,24 +5,27 @@ It is computed here without closed forms, after a comonotone reduction for
 rearrangement-invariant seminorms on uniform spaces, by the first route that
 applies:
 
-- Kelley cutting planes on the analytic facets of the polyhedral families;
+- Kelley cutting planes on the analytic facets of the polyhedral families,
+  and on the witnesses of inner polars for the numeric dual that
+  ``verify_bipolar`` builds when no closed form is registered;
 - one Lagrange multiplier for the modular balls (Lp with 1 < p < inf,
   Luxemburg over power or exp families, the entropic risk norm), and the
   primal norm for their dual, the Amemiya norm;
 - cutting planes on the inner ball for generalized Orlicz norms;
 - projected-subgradient ascent with line searches over the orthant for the
   rest (custom seminorms and risk measures, tabulated, indicator and linear
-  Young functions, the entropic risk norm past theta = 500, the numeric
-  dual of ``verify_bipolar``).
+  Young functions, the entropic risk norm past theta = 500), whose profile
+  the rearrangement inequality puts in the order of |y| when the seminorm
+  is invariant and the space uniform.
 
-All but the last are exact and carry a certified upper bound.  Closed-form
-duals, where registered, only provide certificates (the ``gap`` field),
-never the returned value.
+All but the last carry a certified upper bound and, but for the numeric
+dual of a seminorm whose unit ball is not a polytope, are exact.
+Closed-form duals, where registered, only provide certificates (the
+``gap`` field), never the returned value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass, replace
@@ -39,7 +42,6 @@ from ._optim import (
     prefix_indicators,
 )
 from .norms import (
-    CustomSeminorm,
     GenOrliczNorm,
     LorentzNorm,
     LpNorm,
@@ -87,10 +89,10 @@ class PolarResult:
     both when the closed form confirms the value and when there is none, so
     it alone does not tell a certified value from an uncertified one.  upper
     does: it is a certified upper bound on the polar (the final cutting-plane
-    LP value for polyhedral unit balls, the Amemiya bound at the multiplier
-    for modular balls, the Luxemburg gauge for the Amemiya dual norm, the
-    dual value of the last master for generalized Orlicz norms).  It is None
-    only on the uncertified line-search fallback.
+    LP value for polyhedral unit balls and the numeric dual, the Amemiya
+    bound at the multiplier for modular balls, the Luxemburg gauge for the
+    Amemiya dual norm, the dual value of the last master for generalized
+    Orlicz norms).  It is None only on the uncertified line-search fallback.
     """
 
     value: float
@@ -128,12 +130,6 @@ def polar(
     *,
     seed: int = 0,
     tol: Tolerances = DEFAULT_TOL,
-    strategy: str = "auto",
-    enumerate_full: bool | None = None,
-    axiom_check: bool = True,
-    n_random_starts: int | None = None,
-    subgrad_iters: int | None = None,
-    max_passes: int | None = None,
 ) -> PolarResult:
     """sup{E[u*y] : seminorm(u) <= 1} by direct optimization.
 
@@ -142,20 +138,17 @@ def polar(
     uniform spaces with a rearrangement-invariant spec it runs on |y| sorted
     down, and the cutting planes restrict to nonincreasing profiles.  Specs
     with a ``linear_piece_arr`` (L1, Linf, Marcinkiewicz, Lorentz, the avar
-    risk norm and the avar dual gauge) are solved exactly by Kelley cutting
-    planes, specs with a ``smooth_modular`` (Lp, power and exp Luxemburg,
-    the entropic risk norm) and their Amemiya dual norms exactly by one
-    Lagrange multiplier, generalized Orlicz norms by cutting planes on their
-    inner seminorm.  The rest go to the uncertified orthant line search;
-    the budget parameters act on it alone and default to its own.
-    ``enumerate_full`` re-evaluates the seminorm on every signed permutation
-    of the best profile (small spaces only); by default a permutation sweep
-    without re-evaluation confirms uncertified results for invariant specs
-    on up to six atoms.
+    risk norm, the avar dual gauge and the numeric dual of
+    ``verify_bipolar``) are solved by Kelley cutting planes, specs with a
+    ``smooth_modular`` (Lp, power and exp Luxemburg, the entropic risk norm)
+    and their Amemiya dual norms exactly by one Lagrange multiplier,
+    generalized Orlicz norms by cutting planes on their inner seminorm.  The
+    rest go to the uncertified orthant line search, seeded by ``seed``; for
+    invariant specs on uniform spaces the rearrangement inequality then
+    moves its profile onto the order of |y|.
     """
     _check_on_space(space, y, "y")
-    if axiom_check:
-        _spot_check(space, spec)
+    _spot_check(space, spec)
     n = space.n_atoms
     z = y.values
     if not np.any(z != 0.0):
@@ -167,66 +160,40 @@ def polar(
     def facet_fn(w: np.ndarray) -> np.ndarray | None:
         return spec.linear_piece_arr(space, w)
 
-    ri_uniform = spec.rearrangement_invariant and space.is_uniform
-    if strategy == "comonotone" and not ri_uniform:
-        raise ValueError("the comonotone strategy needs an invariant spec on a uniform space")
-    use_comonotone = ri_uniform and strategy in ("auto", "comonotone")
+    comonotone = spec.rearrangement_invariant and space.is_uniform
     order = np.argsort(-np.abs(z), kind="stable")
     # the comonotone search runs on |y| sorted down, the general one in atom order
-    index = order if use_comonotone else np.arange(n)
+    index = order if comonotone else np.arange(n)
     c = space.probs[index] * np.abs(z)[index]
-    if use_comonotone:
+    if comonotone:
         starts = prefix_indicators(n)
     else:
         # unit vectors bound every variable; the top-k sets of |y| carry the
         # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
         rank = np.argsort(order)
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
-    res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=use_comonotone, starts=starts)
+    res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=comonotone, starts=starts)
     if res is None:
         res = _smooth_polar(space, spec, np.abs(z), norm_fn, tol)
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
-        budget = {"n_random_starts": n_random_starts, "subgrad_iters": subgrad_iters, "max_passes": max_passes}
-        budget = {k: v for k, v in budget.items() if v is not None}
-        res = maximize_linear_on_ball(c, norm_fn, rng=np.random.default_rng(seed), **budget)
-    profile = res.x
+        res = maximize_linear_on_ball(c, norm_fn, rng=np.random.default_rng(seed))
     u_vals = np.empty(n)
-    u_vals[index] = profile
+    u_vals[index] = res.x
     u_vals *= np.sign(z)
-    method = "comonotone" if use_comonotone else "subgradient"
+    method = "comonotone" if comonotone else "subgradient"
     value = res.value
 
-    if enumerate_full and n > 6:
-        raise ValueError("full enumeration is limited to six atoms")
-    if enumerate_full:
-        best = (value, u_vals)
-        mags = np.sort(np.abs(profile))[::-1]
-        for perm in itertools.permutations(range(n)):
-            arranged = mags[list(perm)]
-            for signs in itertools.product((-1.0, 1.0), repeat=n):
-                cand = arranged * np.asarray(signs)
-                if norm_fn(cand) <= 1.0 + 1e-9:
-                    val = float(np.dot(space.probs, cand * z))
-                    if val > best[0]:
-                        best = (val, cand)
-                        method = "enumeration"
-        value, u_vals = best
-    elif ri_uniform and n <= 6 and res.upper is None:
-        # invariance makes every rearrangement of the profile feasible; the
-        # comonotone one should win, and this confirms uncertified results
-        # on small spaces (a certified one has nothing left to confirm)
-        mags = np.abs(profile)
-        coeff = space.probs * np.abs(z)
-        best_val = value
-        for perm in itertools.permutations(range(n)):
-            val = float(np.dot(coeff, mags[list(perm)]))
-            if val > best_val + 1e-15:
-                best_val = val
-                u_vals = np.sign(z) * mags[list(perm)]
-                method = "enumeration"
-        value = max(value, best_val)
+    if comonotone and res.upper is None:
+        # invariance makes every rearrangement of the profile feasible, and by
+        # the rearrangement inequality the one comonotone with |y| pays most
+        # (a certified result has nothing left to improve)
+        arranged = np.empty(n)
+        arranged[order] = np.sort(np.abs(res.x))[::-1]
+        val = float(np.dot(space.probs * np.abs(z), arranged))
+        if val > value + 1e-15:
+            value, u_vals, method = val, np.sign(z) * arranged, "enumeration"
 
     closed = spec.dual_value_arr(space, z, tol)
     gap = max(0.0, closed - value) if closed is not None else 0.0
@@ -313,6 +280,32 @@ class _AmemiyaDualNorm(Seminorm):
         return np.where(v > 0.0, modular.dphi(v), 0.0), lam
 
 
+class _PolarNorm(Seminorm):
+    """The polar of a seminorm without a registered dual, by ``polar`` itself.
+
+    The maximizer u of the polar at a >= 0 lies in the primal ball, so
+    g = p * |u| has g.x <= polar(x) for every x >= 0 and g.a = polar(a): a
+    subgradient of the polar (Rockafellar 1970, Cor. 23.5.3) and a Kelley
+    cut of its unit ball.  For a polyhedral primal the witnesses are vertices
+    of its ball, finitely many, so the round trip is exact.
+    """
+
+    name = "numeric-dual"
+
+    def __init__(self, primal: Seminorm, seed: int, tol: Tolerances):
+        self.primal = primal
+        self.seed = seed
+        self.tol = tol
+        self.rearrangement_invariant = primal.rearrangement_invariant
+
+    def _value_arr(self, space, x, tol):
+        return polar(space, self.primal, Rv(x), seed=self.seed, tol=self.tol).value
+
+    def linear_piece_arr(self, space, a):
+        u = polar(space, self.primal, Rv(a), seed=self.seed, tol=self.tol).maximizer
+        return space.probs * np.abs(u.values)
+
+
 def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
     """A seminorm object evaluating the closed-form polar of spec, if known.
 
@@ -370,27 +363,13 @@ def verify_bipolar(
     """Round-trip the polar: sup{E[u*y] : polar-value(y) <= 1} vs seminorm(u).
 
     The dual unit ball is gauged by the registered closed form when one
-    exists; otherwise every feasibility test runs the inner polar optimizer.
+    exists; otherwise by ``_PolarNorm``, whose cutting planes are the witnesses
+    of inner polars, so the outer polar runs Kelley's method on them.  seed
+    and tol reach every inner polar.
     """
     dual = dual_spec_of(space, spec)
     if dual is None:
-        # every outer feasibility probe runs an inner polar, so the inner
-        # optimizer gets a reduced budget to keep the nesting tractable
-        dual = CustomSeminorm(
-            lambda sp, x: polar(
-                sp,
-                spec,
-                Rv(x),
-                seed=seed,
-                tol=tol,
-                axiom_check=False,
-                n_random_starts=2,
-                subgrad_iters=10,
-                max_passes=5,
-            ).value,
-            rearrangement_invariant=spec.rearrangement_invariant,
-            name="numeric-dual",
-        )
+        dual = _PolarNorm(spec, seed, tol)
     res = polar(space, dual, u, seed=seed, tol=tol)
     primal = spec.value(space, u, tol=tol)
     rel_gap = abs(res.value - primal) / max(abs(primal), 1e-30)

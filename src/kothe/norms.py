@@ -166,10 +166,12 @@ class Seminorm(abc.ABC):
     def linear_piece_arr(self, space: FiniteProbSpace, a: np.ndarray) -> np.ndarray | None:
         """The linear piece of a polyhedral seminorm that is active at a >= 0.
 
-        Returns g >= 0, drawn from a finite set, with g.a = seminorm(a) and
-        g.x <= seminorm(x) for every x >= 0: a facet of the unit ball on the
-        orthant.  The polar solves these families exactly by cutting planes.
-        None for families whose unit ball is not a polytope.
+        Returns g >= 0 with g.a = seminorm(a) and g.x <= seminorm(x) for
+        every x >= 0: a facet of the unit ball on the orthant.  The polar
+        solves these families by cutting planes, exactly when the pieces
+        come from a finite set (the numeric dual of ``verify_bipolar``
+        returns witnesses of inner polars, finitely many only for polyhedral
+        primals).  None for the other families.
         """
         return None
 

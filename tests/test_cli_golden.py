@@ -30,9 +30,6 @@ CONFIGS = (
     "luxemburg_power2",
     "marcinkiewicz_sqrt",
 )
-# the inner-Lorentz generalized-Orlicz dual runs a nested numeric polar and
-# alone takes longer than the rest of this file
-DUAL_CONFIGS = tuple(c for c in CONFIGS if c != "gen_orlicz_lorentz")
 CHECK_CONFIGS = (
     "lp1", "lp2", "avar_half", "marcinkiewicz_sqrt", "broken_signed_mean", "entropic_one", "luxemburg_power2",
 )
@@ -44,7 +41,7 @@ def _cases() -> list[list[str]]:
         cases.append(["rearrange", "--scenario", f"{scen}.csv"])
         for cfg in CONFIGS:
             cases.append(["norm", "--scenario", f"{scen}.csv", "--config", f"{cfg}.cfg"])
-        for cfg in DUAL_CONFIGS:
+        for cfg in CONFIGS:
             cases.append(["dual", "--scenario", f"{scen}.csv", "--config", f"{cfg}.cfg"])
         for cfg in ("avar_half", "entropic_one"):
             cases.append(["risk", "--scenario", f"{scen}.csv", "--config", f"{cfg}.cfg"])

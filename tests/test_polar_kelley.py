@@ -86,12 +86,16 @@ def _oracle(name: str, probs: np.ndarray, y: np.ndarray) -> float:
 
 @st.composite
 def polar_cases(draw):
-    """(space, y): non-uniform masses on one to six atoms, ties from a small
-    integer grid, zeros and sign changes in y.  Values are rounded to 1e-6 so
-    that the oracle's scaled LP keeps coefficients HiGHS accepts."""
+    """(space, y): one to six atoms, with uniform masses (the comonotone path)
+    half the time and random ones otherwise, ties from a small integer grid,
+    zeros and sign changes in y.  Values are rounded to 1e-6 so that the
+    oracle's scaled LP keeps coefficients HiGHS accepts."""
     n = draw(st.integers(1, 6))
-    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
-    space = FiniteProbSpace(weights / weights.sum())
+    if draw(st.booleans()):
+        space = FiniteProbSpace.uniform(n)
+    else:
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        space = FiniteProbSpace(weights / weights.sum())
     value = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0).map(lambda v: round(v, 6)))
     y = np.array(draw(st.lists(value, min_size=n, max_size=n)))
     return space, y
@@ -212,10 +216,10 @@ def test_vanishing_direction_raises_on_both_paths():
     space = FiniteProbSpace.uniform(4)
     y = Rv([1.0, 2.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="vanishes"):
-        polar(space, _FirstCoordinate(), y, axiom_check=False)
+        polar(space, _FirstCoordinate(), y)
     smooth = CustomSeminorm(lambda s, x: abs(float(x[0])), name="first-coordinate")
     with pytest.raises(ValueError, match="vanishes"):
-        polar(space, smooth, y, axiom_check=False)
+        polar(space, smooth, y)
 
 
 @pytest.mark.parametrize("seed", range(4))
