@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -489,6 +490,7 @@ def cmd_check(args) -> int:
 # argument parsing
 
 
+@functools.cache  # a build costs about 20 parses, and parsing leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kothe",

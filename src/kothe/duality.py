@@ -55,8 +55,7 @@ from .norms import (
 )
 from .risk import (
     RiskMeasureSpec,
-    _avar_dual_facet,
-    _avar_dual_gauge_exact,
+    _avar_dual_gauge,
     _dual_inf_form,
     penalty_gauge,
 )
@@ -237,10 +236,10 @@ class _AvarDualNorm(Seminorm):
         self.level = level
 
     def _value_arr(self, space, x, tol):
-        return _avar_dual_gauge_exact(space.probs, x, self.level)
+        return _avar_dual_gauge(space.probs, x, self.level)[0]
 
     def linear_piece_arr(self, space, a):
-        return _avar_dual_facet(space.probs, a, self.level)
+        return _avar_dual_gauge(space.probs, a, self.level)[1]
 
 
 class _AmemiyaDualNorm(Seminorm):
@@ -410,7 +409,7 @@ def verify_sandwich(
         value = amemiya_dual_norm(space, y, hspec, tol=tol)
     elif isinstance(hspec, RiskMeasureSpec):
         lower = penalty_gauge(space, hspec, y, seed=seed)
-        _, value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed)
+        value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed)[1]
     elif isinstance(hspec, GenOrliczNorm):
         res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner, tol=tol)
         lower, value = res.max_form, res.value

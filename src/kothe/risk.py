@@ -19,7 +19,6 @@ from ._optim import (
     SmoothModular,
     amemiya_multiplier,
     bisect_gauge,
-    minimize_scalar_convex,
     newton_gauge,
 )
 from .rearrange import _sorted_prefix, _tail_min
@@ -225,10 +224,10 @@ def penalty(
     excess lies on a top-k set of y (for P(A) >= t at A = everything, for
     P(A) <= t on {y > 1/t} unless that set outweighs t), so one sorted
     prefix scan over y finds it exactly.  Growth along the doubled ray
-    certifies an infinite supremum.  The entropic case is a smooth concave
-    maximization, solved by projected gradient ascent; it is unbounded
-    exactly when E[y] > 1, along the constants ray.  A custom rho is
-    searched over indicators and random directions drawn from ``seed``.
+    certifies an infinite supremum.  The entropic case is unbounded exactly
+    when E[y] > 1, along the constants ray, and has its KKT point as
+    maximizer otherwise.  A custom rho is searched over indicators and
+    random directions drawn from ``seed``.
     """
     _check_on_space(space, y, "y")
     z = y.values
@@ -243,7 +242,8 @@ def penalty(
             ray = np.ones(space.n_atoms)
             assert _confirm_ray(space, rho, ray, z)
             return PenaltyResult(_INF, False, ray)
-        return _penalty_entropic(space, rho.theta, z)
+        xi = _entropic_kkt(space.probs, z, rho.theta)
+        return PenaltyResult(max(_penalty_value(space, rho, xi, z), 0.0), True, None, xi)
 
     n = space.n_atoms
     threshold = 1e-11 * max(scale, 1.0)
@@ -258,7 +258,7 @@ def penalty(
         return PenaltyResult(max(float(viol[k]), 0.0), True, None, xi)
 
     rng = np.random.default_rng(seed)
-    best_val, best_xi = 0.0, None
+    best_val, best_xi = 0.0, np.zeros(n)
 
     def candidates():
         # indicator directions come first: they span the growth cone for
@@ -283,66 +283,32 @@ def penalty(
     return PenaltyResult(max(best_val, 0.0), True, None, best_xi)
 
 
-def _entropic_ascent_start(probs: np.ndarray, z: np.ndarray, theta: float) -> np.ndarray:
-    """Stationarity-informed starting point for the entropic penalty ascent.
+def _entropic_kkt(probs: np.ndarray, z: np.ndarray, theta: float) -> np.ndarray:
+    """The maximizer of E[xi*z] - entropic(xi) over xi >= 0, for E[z] <= 1.
 
-    At an interior optimum exp(theta*xi_i) is proportional to z_i on the
-    active support; scanning supports by descending z gives the consistent
-    proportionality constant.
+    By the KKT conditions exp(theta*xi) = max(z, tau) / tau, where tau solves
+    E[max(z, tau)] = 1, linear between the values of z: one descending sort
+    finds the segment, and the root is clipped into it.  At E[z] = 1 with
+    zeros in z tau falls to 0; its floor keeps the value exact to rounding.
     """
-    order = np.argsort(-z)
-    zs = z[order]
-    ps = probs[order]
-    for k in range(zs.size, 0, -1):
-        top = float(np.dot(ps[:k], zs[:k]))
-        rest = float(ps[k:].sum())
-        if top >= 1.0 - 1e-14 or rest <= 0.0:
-            continue
-        d = rest / (1.0 - top)
-        if zs[k - 1] * d > 1.0 and (k == zs.size or zs[k] * d <= 1.0):
-            xi = np.zeros_like(z)
-            idx = order[:k]
-            xi[idx] = np.log(z[idx] * d) / theta
-            return xi
-    return np.zeros_like(z)
+    order = np.argsort(-z, kind="stable")
+    zs, ps = z[order], probs[order]
+    above = np.cumsum(ps * zs) - ps * zs  # E[z] over the atoms before each one
+    rest = np.cumsum(ps[::-1])[::-1]  # P over each atom and those after it
+    k = int(np.count_nonzero(above + zs * rest > 1.0 + 1e-12))
+    if k == 0:
+        return np.zeros_like(z)  # max z <= 1
+    tau, low = ((1.0 - above[k]) / rest[k], zs[k]) if k < z.size else (0.0, 0.0)
+    tau = min(max(tau, low, 1e-18), float(zs[k - 1]))
+    return np.log(np.maximum(z / tau, 1.0)) / theta
 
 
-def _penalty_entropic(space: FiniteProbSpace, theta: float, z: np.ndarray) -> PenaltyResult:
-    probs = space.probs
-
-    def value_and_grad(xi: np.ndarray) -> tuple[float, np.ndarray]:
-        w = theta * xi
-        m = float(w.max())
-        e = probs * np.exp(w - m)
-        total = float(e.sum())
-        val = float(np.dot(probs, xi * z)) - (m + math.log(total)) / theta
-        grad = probs * z - e / total
-        return val, grad
-
-    xi = _entropic_ascent_start(probs, z, theta)
-    val, grad = value_and_grad(xi)
-    zero_val, _ = value_and_grad(np.zeros_like(z))
-    if zero_val > val:
-        xi = np.zeros_like(z)
-        val = zero_val
-        _, grad = value_and_grad(xi)
-    step = 1.0
-    for _ in range(1500):
-        proj_grad = np.where((xi <= 0.0) & (grad < 0.0), 0.0, grad)
-        gnorm = float(np.linalg.norm(proj_grad))
-        if gnorm <= 1e-12 * max(1.0, abs(val)):
-            break
-        for _ in range(60):
-            cand = np.maximum(xi + step * proj_grad, 0.0)
-            cand_val, cand_grad = value_and_grad(cand)
-            if cand_val > val + 1e-18:
-                xi, val, grad = cand, cand_val, cand_grad
-                step *= 1.6
-                break
-            step *= 0.5
-        else:
-            break
-    return PenaltyResult(max(val, 0.0), True, None, xi)
+def _witness(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, res: PenaltyResult) -> tuple[float, float, float]:
+    """(E[xi*z], rho(xi), cap) for the ray or maximizer xi of a penalty call, with
+    cap >= lim rho(t*xi)/t: rho(xi) if rho is positively homogeneous, else max(xi)."""
+    xi = res.maximizer if res.bounded else res.ray
+    r = _risk_arr(space, rho, xi)
+    return float(np.dot(space.probs, xi * z)), r, r if rho.positively_homogeneous else float(xi.max())
 
 
 def penalty_gauge(
@@ -352,48 +318,51 @@ def penalty_gauge(
     *,
     seed: int = 0,
 ) -> float:
-    """inf{beta > 0 : penalty(|y|/beta) <= 1}."""
+    """inf{beta > 0 : penalty(|y|/beta) <= 1}, by Newton steps in s = 1/beta.
+
+    penalty(s*z), z = |y|, is convex in s with tangent s*E[xi*z] - rho(xi)
+    at the maximizer xi, so the root lies below the Newton step (1 + rho(xi))
+    / E[xi*z], and below cap / E[xi*z] for a ray (1 / E[z] for constants);
+    Dinkelbach's steps for positively homogeneous rho.  A ray that moves no
+    bound (a custom rho) makes s bisect.
+    """
     _check_on_space(space, y, "y")
     z = np.abs(y.values)
     if not np.any(z > 0.0):
         return 0.0
-    hi0 = max(float(np.dot(space.probs, z)), float(z.max()), 1e-12)
+    z = z / (m := float(z.max()))
+    lo, hi = 0.0, 1.0 / float(np.dot(space.probs, z))
+    s = hi
+    for _ in range(100):
+        res = penalty(space, rho, Rv(s * z), seed=seed)
+        a, r, cap = _witness(space, rho, z, res)
+        cut = (cap if rho.positively_homogeneous or not res.bounded else 1.0 + r) / a if a > 0.0 else _INF
+        feasible = (s <= cut) if rho.positively_homogeneous else (res.bounded and res.value <= 1.0)
+        lo, hi = (s, hi) if feasible else (lo, min(hi, s, cut))
+        if hi - lo <= 1e-13 * hi or hi < s <= hi * (1.0 + 1e-13):
+            break
+        s = hi if hi < s else 0.5 * (lo + hi)
+    return m / hi
 
-    def pred(beta: float) -> bool:
-        return penalty(space, rho, Rv(z / beta), seed=seed).value <= 1.0
 
-    return bisect_gauge(pred, hi0=hi0, rel_tol=1e-11)
-
-
-def _avar_dual_gauge_exact(probs: np.ndarray, z: np.ndarray, t: float) -> float:
-    """Exact dual norm against the tail-mean norm.
+def _avar_dual_gauge(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[float, np.ndarray]:
+    """The exact dual norm against the tail-mean norm, and its active facet.
 
     The penalty of a positively homogeneous measure is 0 or inf, so the
     infimal dual form reduces to the feasibility gauge, and feasibility is a
     finite family of set bounds (the same ones the avar penalty scans):
     beta >= t * E[|z| 1_A] / min(P(A), t) for every atom set A.  The ratio
     is at most E|z| when P(A) >= t and t * max|z| when P(A) <= t, and top-k
-    sets of |z| attain both, so one sorted prefix scan gives the maximum.
+    sets of |z| attain both, so one sorted prefix scan gives the maximum,
+    and t * p * 1_S / min(P(S), t) on the maximizing S is the facet.
     """
-    z = np.abs(z)
-    if not np.any(z > 0.0):
-        return 0.0
-    _, mass, sums = _sorted_prefix(probs, z)
-    return float(np.max(sums / (np.minimum(mass, t) / t)))
-
-
-def _avar_dual_facet(probs: np.ndarray, z: np.ndarray, t: float) -> np.ndarray:
-    """The set bound attaining _avar_dual_gauge_exact at z >= 0.
-
-    t * p * 1_S / min(P(S), t) for the maximizing top-k set S of the same
-    prefix scan; every such set bound lies below the gauge on z >= 0.
-    """
-    order, mass, sums = _sorted_prefix(probs, z)
-    k = int(np.argmax(sums / (np.minimum(mass, t) / t)))
+    order, mass, sums = _sorted_prefix(probs, np.abs(z))
+    ratio = sums / (np.minimum(mass, t) / t)
+    k = int(np.argmax(ratio))
     g = np.zeros(z.size)
     top = order[: k + 1]
     g[top] = t * probs[top] / min(float(mass[k]), t)
-    return g
+    return float(ratio[k]), g
 
 
 def _avar_density(probs: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
@@ -419,51 +388,80 @@ def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray
     Phi, computed from one Lagrange multiplier by ``amemiya_multiplier``.
     None for a custom rho and for entropic theta > 500, which have no such
     form.  Used where the dual norm appears inside another optimization;
-    the slower penalty-based infimal form stays the reference route in
+    the penalty-based infimal form stays the reference route in
     risk_dual_norm.
     """
     z = np.abs(z)
     if rho.kind == "avar":
-        return _avar_dual_gauge_exact(space.probs, z, rho.level)
+        return _avar_dual_gauge(space.probs, z, rho.level)[0]
     modular = _entropic_modular(rho, space.n_atoms)
     if modular is None:
         return None
     return amemiya_multiplier(z, space.probs, modular, DEFAULT_TOL.gauge_rel)[1]
 
 
-def _dual_inf_form(
-    space: FiniteProbSpace,
-    rho: RiskMeasureSpec,
-    z: np.ndarray,
-    *,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """(beta, value) minimizing beta * penalty(z/beta) + beta over beta > 0.
+def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, *, seed: int = 0) -> tuple:
+    """(beta, h(beta), lower, penalty calls, stop) for the infimum over beta of
+    h(beta) = beta * (1 + penalty(z/beta)), with lower <= inf h <= h(beta).
 
-    Both are positively homogeneous in z, so the search runs on z / max(z).
+    h(beta) = sup over xi >= 0 of E[xi*z] + beta * (1 - rho(xi)) is convex;
+    each witness xi is a line below it, touching h at the probe for a
+    maximizer.  A ray makes h = +inf below E[xi*z] / cap, from E[z] on.  For
+    positively homogeneous rho the probes are Dinkelbach's (1967) ratios,
+    exact after finitely many calls; else regula falsi (Illinois) on the
+    slopes 1 - rho(xi), bisecting when a ray moves no bound.  lower is the
+    least point of the lines (Kelley 1960).
     """
     if not np.any(z > 0.0):
-        return 0.0, 0.0
-    m = float(z.max())
-    z = z / m
-
-    def objective(beta: float) -> float:
+        return 0.0, 0.0, 0.0, 0, "zero"
+    z = z / (m := float(z.max()))
+    ph = rho.positively_homogeneous
+    floor = float(np.dot(space.probs, z))
+    lines = [(0.0, 1.0)]  # xi = 0
+    ends = {-1: None, 1: None}  # the nearest finite probes with h' < 0, h' > 0
+    beta, best_beta, best, dead, last = floor, floor, _INF, 0.0, 0
+    for calls in range(1, 101):
         res = penalty(space, rho, Rv(z / beta), seed=seed)
-        return beta * res.value + beta if res.bounded else _INF
-
-    x0 = float(np.dot(space.probs, z))
-    # tight bracket: for 0/inf penalties the objective is beta on one side of
-    # a jump, and the landing point should be exact to rounding
-    beta, value = minimize_scalar_convex(objective, x0=x0, tol=1e-13)
-    return m * beta, m * value
+        a, r, cap = _witness(space, rho, z, res)
+        lines.append((a, 1.0 - r))
+        ratio = a / cap if cap > 0.0 else 0.0
+        h = (beta if ratio <= beta else _INF) if ph else (beta * (1.0 + res.value) if res.bounded else _INF)
+        if h < best:
+            best_beta, best = beta, h
+        if h == _INF:
+            dead = max(dead, beta)
+        elif r != 1.0 and not ph:
+            side = 1 if r < 1.0 else -1
+            if side == last and ends[-side]:
+                ends[-side][1] *= 0.5  # Illinois: an end kept twice weighs half
+            ends[side], last = [beta, 1.0 - r], side
+        floor = max(floor, dead, ratio if ph or not res.bounded else 0.0)
+        # the lines' max is least at the floor or where a falling one crosses a rising one
+        A, B = np.array(lines).T
+        cross = (A[None, B >= 0.0] - A[B < 0.0, None]) / (B[B < 0.0, None] - B[None, B >= 0.0])
+        cand = np.append(cross[cross > floor], floor)
+        model = (A[:, None] + B[:, None] * cand).max(axis=0)
+        k = int(np.argmin(model))
+        beta, lower = float(cand[k]), min(float(model[k]), best)
+        if best - lower <= 1e-13 * best < _INF:
+            return m * best_beta, m * best, m * lower, calls, "gap"
+        if ends[-1] and ends[1]:
+            (bl, gl), (br, gr) = ends[-1], ends[1]
+            beta = bl - gl * (br - bl) / (gr - gl)
+        elif beta <= dead:
+            beta = 0.5 * (dead + best_beta) if best < _INF else 2.0 * dead
+    return m * best_beta, m * best, m * lower, calls, "budget"
 
 
 @dataclass(frozen=True, eq=False)
 class RiskDualResult:
-    value: float           # the infimal form over beta
+    value: float           # the infimal form over beta, an upper end
     polar_value: float     # direct supremum over the unit ball of the risk norm
     beta: float
     agreement: float
+    lower: float           # certified lower end of the infimal form
+    n_penalty_calls: int
+    stop: str              # "gap" (bracket within 1e-13), "budget" or "zero"
 
 
 def risk_dual_norm(
@@ -476,15 +474,16 @@ def risk_dual_norm(
 ) -> RiskDualResult:
     """Dual norm of y against the risk norm of rho.
 
-    Computes inf over beta of beta * penalty(|y|/beta) + beta, and
-    independently the direct polar supremum over the unit ball; raises
+    Computes inf over beta of beta * penalty(|y|/beta) + beta by cuts on the
+    penalty's witnesses (``_dual_inf_form``), with a certified lower end,
+    and independently the direct polar supremum over the unit ball; raises
     ConvergenceError when the two disagree by more than 1e-6 relative.
     """
     _check_on_space(space, y, "y")
     z = np.abs(y.values)
     if not np.any(z > 0.0):
-        return RiskDualResult(0.0, 0.0, 0.0, 0.0)
-    beta, value = _dual_inf_form(space, rho, z, seed=seed)
+        return RiskDualResult(0.0, 0.0, 0.0, 0.0, 0.0, 0, "zero")
+    beta, value, lower, calls, stop = _dual_inf_form(space, rho, z, seed=seed)
 
     from .duality import polar  # deferred: duality builds on this module
     from .norms import RiskNorm
@@ -495,7 +494,7 @@ def risk_dual_norm(
         raise ConvergenceError(
             f"risk dual norm mismatch: infimal form {value!r} vs polar {direct.value!r}"
         )
-    return RiskDualResult(value, direct.value, beta, gap)
+    return RiskDualResult(value, direct.value, beta, gap, lower, calls, stop)
 
 
 @dataclass(frozen=True)

@@ -161,25 +161,19 @@ def test_check_passes_on_builtins(capsys):
 
 def test_entropic_check_runs_no_line_search(capsys, monkeypatch):
     # the entropic ball is a modular set: the polar and the bipolar round
-    # trips run on one Lagrange multiplier each, never on a line search
-    import kothe.cli as cli
+    # trips run on one Lagrange multiplier each, and the sandwich item's
+    # infimal form and penalty gauge on cuts from penalty witnesses, never
+    # on a line search
+    import kothe._optim as optim
     import kothe.duality as duality
+    import kothe.norms as norms
 
     def refuse(*args, **kwargs):
         raise AssertionError("a line search ran")
 
-    real_bipolar = duality.verify_bipolar
-
-    def bipolar_without_scalar_search(*args, **kwargs):
-        # the sandwich item's infimal form minimizes over beta by design, so
-        # the scalar search is refused inside the round trips only
-        with monkeypatch.context() as m:
-            for module in ("kothe.norms", "kothe.risk"):
-                m.setattr(f"{module}.minimize_scalar_convex", refuse)
-            return real_bipolar(*args, **kwargs)
-
     monkeypatch.setattr(duality, "maximize_linear_on_ball", refuse)
-    monkeypatch.setattr(cli, "verify_bipolar", bipolar_without_scalar_search)
+    monkeypatch.setattr(norms, "minimize_scalar_convex", refuse)
+    monkeypatch.setattr(optim, "golden_max_interval", refuse)
     code, out = run(capsys, "check", "--random", 8, "--seed", 3, "--config", FIXTURES / "entropic_one.cfg")
     assert code == 0, out
     bipolar = next(c for c in out["checks"] if c["name"] == "bipolar")

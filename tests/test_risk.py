@@ -26,9 +26,10 @@ from kothe import (
     risk_norm,
     verify_sandwich,
 )
-from kothe._optim import bisect_gauge
+import kothe
+from kothe._optim import bisect_gauge, minimize_scalar_convex
 from kothe.norms import RiskNorm
-from kothe.risk import _entropic_arr, dual_gauge_exact
+from kothe.risk import _dual_inf_form, _entropic_arr, dual_gauge_exact
 from tail_cases import tail_cases
 
 UNIFORM4 = FiniteProbSpace.uniform(4)
@@ -338,3 +339,159 @@ def test_small_theta_entropic_polar_keeps_its_bracket():
     for _ in range(10):
         res = polar(space, RiskNorm(entropic(1e-6)), Rv(rng.standard_normal(6)))
         assert res.upper - res.value <= 1.3e-12 * res.upper
+
+
+def _entropic_ascent(probs: np.ndarray, z: np.ndarray, theta: float, xi: np.ndarray) -> float:
+    """Projected gradient ascent on E[xi*z] - entropic(xi) over xi >= 0, from xi.
+
+    The entropic penalty's own route before it returned the KKT point; kept
+    as that point's oracle.
+    """
+
+    def value_and_grad(xi: np.ndarray) -> tuple[float, np.ndarray]:
+        w = theta * xi
+        m = float(w.max())
+        e = probs * np.exp(w - m)
+        total = float(e.sum())
+        return float(np.dot(probs, xi * z)) - (m + math.log(total)) / theta, probs * z - e / total
+
+    val, grad = value_and_grad(xi)
+    step = 1.0
+    for _ in range(1500):
+        proj_grad = np.where((xi <= 0.0) & (grad < 0.0), 0.0, grad)
+        if float(np.linalg.norm(proj_grad)) <= 1e-12 * max(1.0, abs(val)):
+            break
+        for _ in range(60):
+            cand = np.maximum(xi + step * proj_grad, 0.0)
+            cand_val, cand_grad = value_and_grad(cand)
+            if cand_val > val + 1e-18:
+                xi, val, grad = cand, cand_val, cand_grad
+                step *= 1.6
+                break
+            step *= 0.5
+        else:
+            break
+    return val
+
+
+def test_entropic_penalty_is_the_kkt_point():
+    # the ascent, from zero and from the KKT point, gains nothing on it; the
+    # slack is relative to 1 + value, the scale at which the value enters
+    # the infimal form beta * (1 + penalty)
+    rng = np.random.default_rng(61)
+    for k in range(200):
+        n = int(rng.integers(1, 9))
+        space = FiniteProbSpace.uniform(n) if k % 2 else FiniteProbSpace(rng.dirichlet(np.ones(n)))
+        z = np.abs(rng.standard_normal(n)) * rng.integers(0, 2, n) if k % 3 == 0 else np.abs(rng.standard_normal(n))
+        if not np.any(z > 0.0):
+            continue
+        # E[z] = 1 (the edge of the bounded region) on every fifth case
+        z = z / float(np.dot(space.probs, z)) * (1.0 if k % 5 == 0 else rng.uniform(0.2, 1.0))
+        theta = float(rng.uniform(0.1, 10.0))
+        res = penalty(space, entropic(theta), Rv(z))
+        assert res.bounded and res.value >= 0.0
+        best = max(
+            _entropic_ascent(space.probs, z, theta, np.zeros(n)),
+            _entropic_ascent(space.probs, z, theta, res.maximizer),
+        )
+        assert res.value >= best - 1e-12 * (1.0 + best)
+
+
+def test_entropic_risk_dual_regression():
+    # the golden search over beta stopped 6.0e-6 short of the exact gauge,
+    # so the polar check raised ConvergenceError on this valid input
+    probs = np.array([
+        0.07513347115604474, 0.07034633578667814, 0.07949899897147597, 0.1685883530212431,
+        0.35215361885648, 0.2172598018153359, 0.0010196086988044702, 0.03599981169393789,
+    ])
+    y = np.array([
+        -1.7870292161807393, -8.562903620081245, -14.869211693820771, -4.010097410497039,
+        -4.70380309345032, 6.2853770259226085, 11.31800541053196, -0.12515389663473123,
+    ])
+    space, rho = FiniteProbSpace(probs), entropic(6.503374545862155)
+    res = risk_dual_norm(space, rho, Rv(y))
+    exact = dual_gauge_exact(space, rho, y)
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    assert res.lower <= res.value and res.stop == "gap"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rho=st.one_of(st.floats(1e-2, 50.0).map(entropic), st.floats(1e-2, 1.0).map(avar)),
+    n=st.integers(1, 12),
+    masses=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0)), min_size=12, max_size=12),
+)
+def test_risk_dual_brackets_hold_the_exact_gauge(rho, n, masses, values):
+    # uniform or Dirichlet masses; integer values give ties and zero atoms
+    probs = np.random.default_rng(masses).dirichlet(np.ones(n)) if masses is not None else np.full(n, 1.0 / n)
+    space = FiniteProbSpace(probs)
+    y = Rv(np.array(values[:n]))
+    z = np.abs(y.values)
+    if not np.any(z > 0.0):
+        return
+    exact = dual_gauge_exact(space, rho, z)
+    res = risk_dual_norm(space, rho, y)
+    # the bracket [lower, value] of the infimal form holds the exact gauge
+    # to rounding, and is at most 1e-12 wide; avar(t) of a witness carries
+    # a relative rounding of about 1e-16 / t (at t = 0.01, 1.0e-14 was seen)
+    assert res.stop == "gap"
+    assert res.lower * (1.0 - 1e-13) <= exact <= res.value * (1.0 + 1e-13)
+    assert res.value - res.lower <= 1e-12 * res.value
+    assert res.value == pytest.approx(exact, rel=1e-12)
+    g = penalty_gauge(space, rho, y)
+    if rho.kind == "avar":
+        # for positively homogeneous rho the penalty gauge is the dual norm
+        assert g == pytest.approx(exact, rel=1e-12)
+    else:
+        # [g, g (1 + 1e-12)] holds the gauge; below g the penalty exceeds 1
+        # (2e-12 clears the 1e-12 by which E[|y|/beta] may exceed 1 before
+        # the entropic penalty counts as unbounded)
+        assert penalty(space, rho, Rv(z / (g * (1.0 + 1e-12)))).value <= 1.0
+        assert penalty(space, rho, Rv(z / (g * (1.0 - 2e-12)))).value > 1.0
+        assert g - 1e-12 * g <= res.value <= 2.0 * g + 1e-12 * g
+
+
+def _inf_form_by_golden_search(space, rho, z):
+    """The infimal form by the golden search over beta that it used before."""
+    m = float(z.max())
+    z = z / m
+
+    def objective(beta: float) -> float:
+        res = penalty(space, rho, Rv(z / beta))
+        return beta * res.value + beta if res.bounded else math.inf
+
+    return m * minimize_scalar_convex(objective, x0=float(np.dot(space.probs, z)), tol=1e-13)[1]
+
+
+def test_positively_homogeneous_custom_risk_dual_matches_the_golden_search():
+    # rho = max is positively homogeneous with the L1 norm as dual: the
+    # Dinkelbach ratios from the custom penalty's rays end on it
+    rho = custom_risk(lambda sp, x: float(np.max(x)), positively_homogeneous=True)
+    rng = np.random.default_rng(62)
+    for k in range(8):
+        n = int(rng.integers(2, 7))
+        space = FiniteProbSpace.uniform(n) if k % 2 else FiniteProbSpace(rng.dirichlet(np.ones(n)))
+        z = np.abs(rng.standard_normal(n))
+        beta, value, lower, calls, stop = _dual_inf_form(space, rho, z)
+        assert stop == "gap" and lower == value
+        assert value == pytest.approx(_inf_form_by_golden_search(space, rho, z), rel=1e-12)
+        assert value == pytest.approx(float(np.dot(space.probs, z)), rel=1e-12)
+
+
+def test_risk_duals_run_no_scalar_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scalar search ran")
+
+    for module in (kothe._optim, kothe.young, kothe.norms, kothe.risk, kothe.duality):
+        for name in ("minimize_scalar_convex", "golden_max_interval", "bisect_gauge"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(63)
+    for space in (FiniteProbSpace.uniform(6), FiniteProbSpace(rng.dirichlet(np.ones(6)))):
+        for rho in (avar(0.3), entropic(2.0)):
+            y = Rv(rng.standard_normal(6))
+            res = risk_dual_norm(space, rho, y)
+            assert res.stop == "gap" and res.n_penalty_calls <= 20
+            assert penalty_gauge(space, rho, y) <= res.value
+            assert verify_sandwich(space, rho, y).ok
