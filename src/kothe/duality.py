@@ -109,10 +109,10 @@ _SPOT_CACHE: "weakref.WeakKeyDictionary[Seminorm, set[bytes]]" = weakref.WeakKey
 def _spot_check(space: FiniteProbSpace, spec: Seminorm) -> None:
     """Cheap randomized screen: symmetry, homogeneity, subadditivity and
     monotonicity under domination (the solidity axiom) must hold before the
-    sign and rearrangement reductions below are valid."""
-    done = _SPOT_CACHE.get(spec)
+    sign and rearrangement reductions below are valid.  Only specs whose
+    axioms a callback decides are screened, once per space; it only raises."""
     key = space.probs.tobytes()
-    if done is not None and key in done:
+    if spec.axioms_by_construction or key in _SPOT_CACHE.get(spec, ()):
         return
     report = check_axioms(space, spec, trials=5, seed=417)
     needed = {"nonnegative", "symmetry", "homogeneity", "subadditivity", "solid_monotone"}
@@ -144,7 +144,8 @@ def polar(
     generalized Orlicz norms by cutting planes on their inner seminorm.  The
     rest go to the uncertified orthant line search, seeded by ``seed``; for
     invariant specs on uniform spaces the rearrangement inequality then
-    moves its profile onto the order of |y|.
+    moves its profile onto the order of |y|.  The reductions need the axioms,
+    so specs without ``axioms_by_construction`` first pass ``_spot_check``.
     """
     _check_on_space(space, y, "y")
     _spot_check(space, spec)
@@ -156,14 +157,14 @@ def polar(
     def norm_fn(w: np.ndarray) -> float:
         return spec._value_arr(space, w, tol)
 
-    def facet_fn(w: np.ndarray) -> np.ndarray | None:
-        return spec.linear_piece_arr(space, w)
-
     comonotone = spec.rearrangement_invariant and space.is_uniform
     order = np.argsort(-np.abs(z), kind="stable")
     # the comonotone search runs on |y| sorted down, the general one in atom order
     index = order if comonotone else np.arange(n)
-    c = space.probs[index] * np.abs(z)[index]
+    # positively homogeneous: solve at |y| * 2**-k in [0.5, 1), an exact scaling, so no p * |y| underflows
+    k = math.frexp(float(np.abs(z).max()))[1]
+    a = np.ldexp(np.abs(z), -k)
+    c = space.probs[index] * a[index]
     if comonotone:
         starts = prefix_indicators(n)
     else:
@@ -171,18 +172,21 @@ def polar(
         # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
         rank = np.argsort(order)
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
-    res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=comonotone, starts=starts)
+    res = maximize_linear_on_polytope(
+        c, norm_fn, lambda w: spec.linear_piece_arr(space, w), monotone=comonotone, starts=starts
+    )
     if res is None:
-        res = _smooth_polar(space, spec, np.abs(z), norm_fn, tol)
+        res = _smooth_polar(space, spec, a, norm_fn, tol)
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
-        res = maximize_linear_on_ball(c, norm_fn, rng=np.random.default_rng(seed))
+        res = maximize_linear_on_ball(np.ldexp(c, k), norm_fn, rng=np.random.default_rng(seed))  # not scale free
+        res = replace(res, value=float(np.ldexp(res.value, -k)))
     u_vals = np.empty(n)
     u_vals[index] = res.x
     u_vals *= np.sign(z)
     method = "comonotone" if comonotone else "subgradient"
-    value = res.value
+    value = float(np.ldexp(res.value, k))
 
     if comonotone and res.upper is None:
         # invariance makes every rearrangement of the profile feasible, and by
@@ -196,7 +200,7 @@ def polar(
 
     closed = spec.dual_value_arr(space, z, tol)
     gap = max(0.0, closed - value) if closed is not None else 0.0
-    upper = None if res.upper is None else max(res.upper, value)
+    upper = None if res.upper is None else max(float(np.ldexp(res.upper, k)), value)
     return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
 
 
@@ -230,6 +234,7 @@ class _AvarDualNorm(Seminorm):
     those set bounds."""
 
     rearrangement_invariant = True
+    axioms_by_construction = True
     name = "risk-dual"
 
     def __init__(self, level: float):
@@ -249,6 +254,7 @@ class _AmemiyaDualNorm(Seminorm):
     that primal seminorm, and Young's equality supplies the witness."""
 
     name = "amemiya-dual"
+    axioms_by_construction = True
 
     def __init__(self, primal: LuxemburgNorm | RiskNorm):
         self.primal = primal
@@ -290,6 +296,7 @@ class _PolarNorm(Seminorm):
     """
 
     name = "numeric-dual"
+    axioms_by_construction = True  # each inner polar screens the primal itself
 
     def __init__(self, primal: Seminorm, seed: int, tol: Tolerances):
         self.primal = primal

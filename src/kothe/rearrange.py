@@ -129,7 +129,8 @@ def _tail_min(probs: np.ndarray, x: np.ndarray, t: float) -> float:
     """
     order, mass, top = _sorted_prefix(probs, x)
     s = x[order]
-    return float((t * s + top - s * mass).min())
+    # t*s added last: the bracket is exactly 0 when the top values all equal s
+    return float((t * s + (top - s * mass)).min())
 
 
 def cvar_infimum(space: FiniteProbSpace, u: Rv, t: float) -> float:

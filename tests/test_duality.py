@@ -25,8 +25,19 @@ from kothe import (
     young_power,
     young_power_over_p,
 )
-from kothe.duality import dual_spec_of
-from kothe.norms import CustomSeminorm, GenOrliczNorm, LorentzNorm, LpNorm, LuxemburgNorm, MarcinkiewiczNorm
+import kothe.duality
+import kothe.norms
+from kothe import DEFAULT_TOL, avar, check_axioms, custom_risk, entropic, gen_orlicz_dual_norm, risk_dual_norm, young_exponential
+from kothe.duality import _AmemiyaDualNorm, _AvarDualNorm, _PolarNorm, dual_spec_of
+from kothe.norms import (
+    CustomSeminorm,
+    GenOrliczNorm,
+    LorentzNorm,
+    LpNorm,
+    LuxemburgNorm,
+    MarcinkiewiczNorm,
+    RiskNorm,
+)
 
 UNIFORM4 = FiniteProbSpace.uniform(4)
 
@@ -113,6 +124,77 @@ def test_polar_zero_and_axiom_failure():
     broken = CustomSeminorm(lambda s, x: float(np.dot(s.probs, x)), name="signed-mean")
     with pytest.raises(ValueError):
         polar(UNIFORM4, broken, Rv([1.0, 0, 0, 0]))
+
+
+def test_callback_specs_are_still_screened():
+    # the risk norm of a concave callback is the L^(1/2) quasi-norm, which
+    # fails subadditivity; the signed mean fails symmetry inside the gauge
+    root = RiskNorm(custom_risk(lambda s, x: float(np.dot(s.probs, np.sqrt(np.abs(x))))))
+    assert not root.axioms_by_construction
+    with pytest.raises(ValueError, match="subadditivity"):
+        polar(UNIFORM4, root, Rv([1.0, 0, 0, 0]))
+    signed = CustomSeminorm(lambda s, x: float(np.dot(s.probs, x)), name="signed-mean")
+    with pytest.raises(ValueError, match="inner seminorm"):
+        GenOrliczNorm(young_power(2), signed).value(UNIFORM4, Rv([1.0, 0, 0, 0]))
+
+
+def test_callback_specs_that_hold_the_axioms_reach_the_screen(monkeypatch):
+    # the screen depends on the type, not on the outcome: a callback that
+    # happens to be a seminorm (the mean of |x| gauges to L1) is checked once
+    # per space and then served from the cache
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return check_axioms(*args, **kwargs)
+
+    monkeypatch.setattr(kothe.duality, "check_axioms", counted)
+    mean = RiskNorm(custom_risk(lambda s, x: float(np.dot(s.probs, x))))
+    for y in ([1.0, 0, 0, 0], [0.0, 2, -1, 3]):
+        assert polar(UNIFORM4, mean, Rv(y)).value == pytest.approx(max(np.abs(y)), rel=1e-6)
+    assert calls == [mean]
+
+
+def test_builtin_specs_never_reach_the_axiom_checker(monkeypatch):
+    # the constructors of the built-in families guarantee the axioms, so no
+    # randomized screen runs on them, nor on the duals built from them
+    def refused(*args, **kwargs):
+        raise AssertionError("check_axioms ran on a built-in spec")
+
+    monkeypatch.setattr(kothe.duality, "check_axioms", refused)
+    monkeypatch.setattr(kothe.norms, "check_axioms", refused)
+    rng = np.random.default_rng(418)
+    n = 5
+    spaces = [FiniteProbSpace.uniform(n), FiniteProbSpace(rng.dirichlet(np.ones(n)))]
+    quad = MusielakFamily.constant(young_power(2.3), n)
+    specs = [
+        LpNorm(1),
+        LpNorm(2),
+        LpNorm(math.inf),
+        LuxemburgNorm(quad),
+        LuxemburgNorm(MusielakFamily.constant(young_exponential(), n)),
+        MarcinkiewiczNorm(phi_sqrt()),
+        LorentzNorm(phi_sqrt()),
+        RiskNorm(avar(0.3)),
+        RiskNorm(entropic(1.0)),
+        GenOrliczNorm(young_power(2), LpNorm(1)),
+        _AvarDualNorm(0.3),
+        _AmemiyaDualNorm(LuxemburgNorm(quad)),
+        _AmemiyaDualNorm(RiskNorm(entropic(1.0))),
+    ]
+    for space in spaces:
+        y = Rv(rng.standard_normal(n))
+        for spec in specs:
+            assert spec.axioms_by_construction
+            assert polar(space, spec, y).converged
+        for rho in (avar(0.3), entropic(1.0)):
+            risk_dual_norm(space, rho, y)
+        gen_orlicz_dual_norm(space, y, young_power(2), LpNorm(1))
+    nonuniform = spaces[1]
+    u = Rv(rng.standard_normal(n))
+    for spec in (LpNorm(3), LorentzNorm(phi_sqrt())):
+        assert verify_bipolar(nonuniform, spec, u).rel_gap <= 1e-9
+    assert _PolarNorm(LorentzNorm(phi_sqrt()), 0, DEFAULT_TOL).axioms_by_construction
 
 
 def test_verify_holder():
