@@ -324,9 +324,13 @@ def minimize_convex_on_orthant(
 
 def _feasible_interval(w: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     """t-range keeping w + t*d inside the orthant (w itself feasible)."""
-    w = np.maximum(w, 0.0)
-    up, down = d > 1e-300, d < -1e-300
-    return min((-w[up] / d[up]).max(initial=-_INF), 0.0), max((w[down] / -d[down]).min(initial=_INF), 0.0)
+    t_lo, t_hi = -_INF, _INF
+    for a, b in zip(np.maximum(w, 0.0), d):
+        if b > 1e-300:
+            t_lo = max(t_lo, -a / b)
+        elif b < -1e-300:
+            t_hi = min(t_hi, a / -b)
+    return min(t_lo, 0.0), max(t_hi, 0.0)
 
 
 def maximize_linear_on_ball(

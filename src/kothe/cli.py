@@ -334,7 +334,8 @@ def cmd_dual(args) -> int:
     scenario = _get_scenario(args)
     spec = _as_seminorm(parse_config(args.config, scenario.space.n_atoms))
     y = scenario.column(args.column)
-    res = polar(scenario.space, spec, y, seed=args.seed or 0)
+    seed = args.seed if args.seed is not None else 0
+    res = polar(scenario.space, spec, y, seed=seed)
     closed = spec.dual_value_arr(scenario.space, y.values, DEFAULT_TOL)
     payload = {
         "polar": res.value,
@@ -342,8 +343,11 @@ def cmd_dual(args) -> int:
         "gap": res.gap,
         "method": res.method,
     }
-    _emit(payload if res.converged else {**payload, "converged": False})
-    return EXIT_OK if res.converged else EXIT_NONCONVERGED
+    if not res.converged:
+        _emit({**payload, "converged": False})
+        return EXIT_NONCONVERGED
+    _emit(payload)
+    return EXIT_OK
 
 
 def cmd_rearrange(args) -> int:
@@ -476,7 +480,8 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
 def cmd_check(args) -> int:
     scenario = _get_scenario(args)
     parsed = parse_config(args.config, scenario.space.n_atoms)
-    result = _check_suite(scenario, parsed, args.seed or 0, args.tol)
+    seed = args.seed if args.seed is not None else 0
+    result = _check_suite(scenario, parsed, seed, args.tol)
     _emit(result)
     return EXIT_OK if result["all_pass"] else EXIT_CHECK_FAILED
 
@@ -524,11 +529,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ConfigError, ConvergenceError, ValueError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, ParseError):
-            return EXIT_PARSE
-        return EXIT_NONCONVERGED if isinstance(exc, ConvergenceError) else EXIT_CONFIG
+        return EXIT_PARSE
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry() -> None:  # console-script hook

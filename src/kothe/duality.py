@@ -157,14 +157,14 @@ def polar(
     def norm_fn(w: np.ndarray) -> float:
         return spec._value_arr(space, w, tol)
 
+    def facet_fn(w: np.ndarray) -> np.ndarray | None:
+        return spec.linear_piece_arr(space, w)
+
     comonotone = spec.rearrangement_invariant and space.is_uniform
     order = np.argsort(-np.abs(z), kind="stable")
     # the comonotone search runs on |y| sorted down, the general one in atom order
     index = order if comonotone else np.arange(n)
-    # positively homogeneous: solve at |y| * 2**-k in [0.5, 1), an exact scaling, so no p * |y| underflows
-    k = math.frexp(float(np.abs(z).max()))[1]
-    a = np.ldexp(np.abs(z), -k)
-    c = space.probs[index] * a[index]
+    c = space.probs[index] * np.abs(z)[index]
     if comonotone:
         starts = prefix_indicators(n)
     else:
@@ -172,21 +172,18 @@ def polar(
         # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
         rank = np.argsort(order)
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
-    res = maximize_linear_on_polytope(
-        c, norm_fn, lambda w: spec.linear_piece_arr(space, w), monotone=comonotone, starts=starts
-    )
+    res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=comonotone, starts=starts)
     if res is None:
-        res = _smooth_polar(space, spec, a, norm_fn, tol)
+        res = _smooth_polar(space, spec, np.abs(z), norm_fn, tol)
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
-        res = maximize_linear_on_ball(np.ldexp(c, k), norm_fn, rng=np.random.default_rng(seed))  # not scale free
-        res = replace(res, value=float(np.ldexp(res.value, -k)))
+        res = maximize_linear_on_ball(c, norm_fn, rng=np.random.default_rng(seed))
     u_vals = np.empty(n)
     u_vals[index] = res.x
     u_vals *= np.sign(z)
     method = "comonotone" if comonotone else "subgradient"
-    value = float(np.ldexp(res.value, k))
+    value = res.value
 
     if comonotone and res.upper is None:
         # invariance makes every rearrangement of the profile feasible, and by
@@ -200,7 +197,7 @@ def polar(
 
     closed = spec.dual_value_arr(space, z, tol)
     gap = max(0.0, closed - value) if closed is not None else 0.0
-    upper = None if res.upper is None else max(float(np.ldexp(res.upper, k)), value)
+    upper = None if res.upper is None else max(res.upper, value)
     return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
 
 

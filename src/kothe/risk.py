@@ -342,7 +342,7 @@ def penalty_gauge(
         if hi - lo <= 1e-13 * hi or hi < s <= hi * (1.0 + 1e-13):
             break
         s = hi if hi < s else 0.5 * (lo + hi)
-    return max(m / hi, math.ulp(0.0))  # positive for y != 0, where m / hi can round to 0
+    return m / hi
 
 
 def _avar_dual_gauge(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[float, np.ndarray]:
@@ -356,14 +356,13 @@ def _avar_dual_gauge(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[float,
     sets of |z| attain both, so one sorted prefix scan gives the maximum,
     and t * p * 1_S / min(P(S), t) on the maximizing S is the facet.
     """
-    e = math.frexp(float(np.abs(z).max()))[1]  # |z| * 2**-e, exact, keeps p * |z| from underflowing
-    order, mass, sums = _sorted_prefix(probs, np.ldexp(np.abs(z), -e))
+    order, mass, sums = _sorted_prefix(probs, np.abs(z))
     ratio = sums / (np.minimum(mass, t) / t)
     k = int(np.argmax(ratio))
     g = np.zeros(z.size)
     top = order[: k + 1]
     g[top] = t * probs[top] / min(float(mass[k]), t)
-    return float(np.ldexp(ratio[k], e)), g
+    return float(ratio[k]), g
 
 
 def _avar_density(probs: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:

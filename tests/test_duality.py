@@ -38,6 +38,7 @@ from kothe.norms import (
     MarcinkiewiczNorm,
     RiskNorm,
 )
+from kothe.risk import RiskMeasureSpec
 
 UNIFORM4 = FiniteProbSpace.uniform(4)
 
@@ -133,6 +134,12 @@ def test_callback_specs_are_still_screened():
     assert not root.axioms_by_construction
     with pytest.raises(ValueError, match="subadditivity"):
         polar(UNIFORM4, root, Rv([1.0, 0, 0, 0]))
+    # any kind other than the two that the library evaluates itself runs a
+    # callback, so it is screened whatever its tag
+    tagged = RiskNorm(RiskMeasureSpec("tagged", fn=root.rho.fn))
+    assert not tagged.axioms_by_construction
+    with pytest.raises(ValueError, match="subadditivity"):
+        polar(UNIFORM4, tagged, Rv([1.0, 0, 0, 0]))
     signed = CustomSeminorm(lambda s, x: float(np.dot(s.probs, x)), name="signed-mean")
     with pytest.raises(ValueError, match="inner seminorm"):
         GenOrliczNorm(young_power(2), signed).value(UNIFORM4, Rv([1.0, 0, 0, 0]))
