@@ -59,7 +59,7 @@ from .risk import (
     _dual_inf_form,
     penalty_gauge,
 )
-from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space, pairing
+from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space, _pow2_scaled, pairing
 from .young import MusielakFamily
 
 __all__ = [
@@ -164,7 +164,10 @@ def polar(
     order = np.argsort(-np.abs(z), kind="stable")
     # the comonotone search runs on |y| sorted down, the general one in atom order
     index = order if comonotone else np.arange(n)
-    c = space.probs[index] * np.abs(z)[index]
+    # the polar is positively homogeneous: solve at |y| * 2**-e, exactly
+    # scaled, so that p * |y| does not underflow for subnormal y
+    a, e = _pow2_scaled(np.abs(z))
+    c = space.probs[index] * a[index]
     if comonotone:
         starts = prefix_indicators(n)
     else:
@@ -174,16 +177,18 @@ def polar(
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
     res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=comonotone, starts=starts)
     if res is None:
-        res = _smooth_polar(space, spec, np.abs(z), norm_fn, tol)
+        res = _smooth_polar(space, spec, a, norm_fn, tol)
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
-        res = maximize_linear_on_ball(c, norm_fn, rng=np.random.default_rng(seed))
+        # its stopping rules are not scale free, so it runs on p * |y| itself
+        res = maximize_linear_on_ball(np.ldexp(c, e), norm_fn, rng=np.random.default_rng(seed))
+        res = replace(res, value=math.ldexp(res.value, -e))
     u_vals = np.empty(n)
     u_vals[index] = res.x
     u_vals *= np.sign(z)
     method = "comonotone" if comonotone else "subgradient"
-    value = res.value
+    value = math.ldexp(res.value, e)
 
     if comonotone and res.upper is None:
         # invariance makes every rearrangement of the profile feasible, and by
@@ -197,7 +202,7 @@ def polar(
 
     closed = spec.dual_value_arr(space, z, tol)
     gap = max(0.0, closed - value) if closed is not None else 0.0
-    upper = None if res.upper is None else max(res.upper, value)
+    upper = None if res.upper is None else max(math.ldexp(res.upper, e), value)
     return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
 
 

@@ -110,27 +110,32 @@ def quantile_integral(q: StepFunction, t: float) -> float:
     return q.integral(t)
 
 
-def _sorted_prefix(probs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable descending order of x, with the prefix sums of p and of p*x along it."""
-    order = np.argsort(-x, kind="stable")
+def _sorted_prefix(
+    probs: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stable descending order of x along its last axis, the sorted values,
+    and the prefix sums of p and of p*x along it."""
+    order = np.argsort(-x, axis=-1, kind="stable")
+    levels = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
     ps = probs[order]
-    return order, np.cumsum(ps), np.cumsum(ps * x[order])
+    return order, levels, np.cumsum(ps, axis=-1), np.cumsum(ps * levels, axis=-1)
 
 
-def _tail_min(probs: np.ndarray, x: np.ndarray, t: float) -> float:
-    """min over real s of t*s + E[x - s]^+, for 0 < t <= 1.
+def _tail_min(probs: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """min over real s of t*s + E[x - s]^+, for 0 < t <= 1, along the last
+    axis of x; t broadcasts against x, so a column of levels for a 1-D x
+    gives one minimum per level.
 
     The objective is convex and piecewise linear in s with kinks at the values
     of x.  Its slope t - P(x > s) is t - 1 <= 0 below min(x) and t > 0 above
     max(x), so a value of x attains the minimum.  At s = x_(k), the k-th value
     in descending order, E[x - s]^+ equals top_k - s * mass_k: later atoms and
     ties contribute zero.  One sort and two prefix sums give every candidate
-    exactly, in O(n log n) time and O(n) memory.
+    exactly, in O(n log n) time and O(n) memory per row or level.
     """
-    order, mass, top = _sorted_prefix(probs, x)
-    s = x[order]
+    _, s, mass, top = _sorted_prefix(probs, x)
     # t*s added last: the bracket is exactly 0 when the top values all equal s
-    return float((t * s + (top - s * mass)).min())
+    return (t * s + (top - s * mass)).min(axis=-1)
 
 
 def cvar_infimum(space: FiniteProbSpace, u: Rv, t: float) -> float:
@@ -148,7 +153,7 @@ def cvar_infimum(space: FiniteProbSpace, u: Rv, t: float) -> float:
         raise ValueError("t must not exceed 1")
     a = np.abs(u.values)
     # the candidate s = 0 has the value E|u|
-    return min(_tail_min(space.probs, a, t), float(np.dot(space.probs, a)))
+    return min(float(_tail_min(space.probs, a, t)), float(np.dot(space.probs, a)))
 
 
 def hardy_littlewood_sup(space: FiniteProbSpace, u: Rv, y: Rv) -> float:

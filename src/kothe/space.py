@@ -9,8 +9,9 @@ needs no coordination.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -211,6 +212,27 @@ class CheckItem:
     witness: str | None = None
 
 
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a * 2**-e, e) for a >= 0, with e the binary exponent of max(a) (0 for
+    a = 0), so the largest entry lands in [0.5, 1) and products such as
+    p * a do not underflow for subnormal a.  The scaling is exact, so on
+    normal-range a a result scaled back by ldexp(., e) is unchanged."""
+    e = math.frexp(float(a.max()))[1]
+    return np.ldexp(a, -e), e
+
+
+def _shrinking_rows(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """x on a random nested sequence of shrinking supports, one row per
+    step: row j keeps the first n - 1 - j atoms of a shuffled order, so the
+    last row is zero.  Draws one shuffle from rng."""
+    n = x.size
+    alive = list(range(n))
+    rng.shuffle(alive)
+    rank = np.empty(n, dtype=int)
+    rank[alive] = np.arange(n)
+    return np.where(rank < np.arange(n - 1, -1, -1)[:, None], x, 0.0)
+
+
 def _fmt(x: np.ndarray) -> str:
     return np.array2string(np.asarray(x), precision=6, separator=", ")
 
@@ -229,27 +251,17 @@ class _WorstCase:
         if val > self._worst.get(key, (self._floor, None))[0]:
             self._worst[key] = (val, witness)
 
-    def bump_shrinking(
-        self,
-        key: str,
-        f: Callable[[np.ndarray], float],
-        x: np.ndarray,
-        fx: float,
-        scale: float,
-        rng: np.random.Generator,
-    ) -> None:
-        """Growth of f along a random nested sequence of shrinking supports
-        of x, ending at zero, where f must vanish (order continuity)."""
-        alive = list(range(x.size))
-        rng.shuffle(alive)
-        prev = fx
-        while alive:
-            alive.pop()
-            masked = np.zeros(x.size)
-            masked[alive] = x[alive]
-            cur = f(masked)
-            self.bump(key, (cur - prev) / scale, masked)
+    def bump_chain(self, key: str, fx: float, vals: np.ndarray, rows: np.ndarray, scale: float) -> None:
+        """Growth of f along the rows of ``_shrinking_rows`` from x, where
+        f(x) = fx and f(rows) = vals, and then |f| at the last row, zero,
+        where f must vanish (order continuity).  Bumping only the chain's
+        first largest step keeps what bumping each step in turn would."""
+        prev, best, at = fx, -math.inf, 0
+        for j, cur in enumerate(vals.tolist()):
+            if (cur - prev) / scale > best:
+                best, at = (cur - prev) / scale, j
             prev = cur
+        self.bump(key, best, rows[at].copy())  # a copy, so the witness keeps no n x n chain alive
         self.bump(key, abs(prev) / scale, None)
 
     def item(self, key: str, slack: float) -> CheckItem:

@@ -33,6 +33,7 @@ CONFIGS = (
 CHECK_CONFIGS = (
     "lp1", "lp2", "avar_half", "marcinkiewicz_sqrt", "broken_signed_mean", "entropic_one", "luxemburg_power2",
 )
+LARGE_CHECK_CONFIGS = ("lp2", "lorentz_sqrt", "avar_half")  # the vectorized row evaluators at n = 50
 
 
 def _cases() -> list[list[str]]:
@@ -47,6 +48,8 @@ def _cases() -> list[list[str]]:
             cases.append(["risk", "--scenario", f"{scen}.csv", "--config", f"{cfg}.cfg"])
     for cfg in CHECK_CONFIGS:
         cases.append(["check", "--random", "6", "--seed", "7", "--config", f"{cfg}.cfg"])
+    for cfg in LARGE_CHECK_CONFIGS:
+        cases.append(["check", "--random", "50", "--seed", "7", "--config", f"{cfg}.cfg"])
     return cases
 
 

@@ -33,18 +33,15 @@ from kothe import (
     young_power_over_p,
     young_tabulated,
 )
-from kothe import avar, entropic
 from kothe._optim import minimize_scalar_convex
-from kothe.duality import _AmemiyaDualNorm, _AvarDualNorm
 from kothe.norms import (
     CustomSeminorm,
-    GenOrliczNorm,
     LorentzNorm,
     LpNorm,
     LuxemburgNorm,
     MarcinkiewiczNorm,
-    RiskNorm,
 )
+from families import BUILTIN_FAMILIES
 
 UNIFORM4 = FiniteProbSpace.uniform(4)
 U4132 = Rv([4.0, 1.0, 3.0, 2.0])
@@ -451,32 +448,6 @@ def test_linear_conjugate_families_keep_the_generic_route(monkeypatch):
     assert amemiya_dual_norm(NONUNIFORM4, y, mixed) == pytest.approx(expected, rel=1e-15)
     assert len(calls) == 3
 
-
-
-# every family that declares axioms_by_construction, built for n atoms;
-# polar skips the randomized axiom screen on these, so this test is what
-# backs the declaration
-_PHI_TAB = phi_tabulated([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
-_YOUNG_TAB = young_tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.25, 1.0, 3.0])
-BUILTIN_FAMILIES = {
-    **{f"L{p:g}": (lambda p: lambda n: LpNorm(p))(p) for p in (1.0, 1.5, 2.0, 3.0, math.inf)},
-    "marcinkiewicz_sqrt": lambda n: MarcinkiewiczNorm(phi_sqrt()),
-    "marcinkiewicz_tabulated": lambda n: MarcinkiewiczNorm(_PHI_TAB),
-    "lorentz_sqrt": lambda n: LorentzNorm(phi_sqrt()),
-    "lorentz_tabulated": lambda n: LorentzNorm(_PHI_TAB),
-    "luxemburg_power": lambda n: LuxemburgNorm(MusielakFamily.constant(young_power(2.3), n)),
-    "luxemburg_exp": lambda n: LuxemburgNorm(MusielakFamily.constant(young_exponential(), n)),
-    "luxemburg_tabulated": lambda n: LuxemburgNorm(MusielakFamily.constant(_YOUNG_TAB, n)),
-    "avar": lambda n: RiskNorm(avar(0.3)),
-    "entropic": lambda n: RiskNorm(entropic(2.0)),
-    "gen_orlicz_lp": lambda n: GenOrliczNorm(young_power(2.0), LpNorm(1.5)),
-    "gen_orlicz_lorentz": lambda n: GenOrliczNorm(young_exponential(), LorentzNorm(phi_sqrt())),
-    "avar_dual": lambda n: _AvarDualNorm(0.3),
-    "amemiya_dual_luxemburg": lambda n: _AmemiyaDualNorm(
-        LuxemburgNorm(MusielakFamily.constant(young_power(2.3), n))
-    ),
-    "amemiya_dual_entropic": lambda n: _AmemiyaDualNorm(RiskNorm(entropic(2.0))),
-}
 
 
 @pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))

@@ -15,7 +15,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import kothe
@@ -174,6 +174,8 @@ def test_tabulated_luxemburg_keeps_the_uncertified_fallback():
     y=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0)), min_size=8, max_size=8),
     scale=st.sampled_from([1e-3, 1.0, 1e3]),
 )
+# subnormal y: p * |y| underflowed to 0 and the polyhedral polars raised
+@example(n=2, uniform=True, weights=[0.5] * 8, y=[0.0, 5e-324] + [0.0] * 6, scale=1.0)
 def test_upper_is_a_bound_under_rounding(name, n, uniform, weights, y, scale):
     probs = np.full(n, 1.0 / n) if uniform else np.array(weights[:n]) / sum(weights[:n])
     space = FiniteProbSpace(probs)

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kothe import (
@@ -215,6 +215,17 @@ def test_penalty_gauge_scaling():
     g1 = penalty_gauge(UNIFORM4, avar(0.5), y)
     g2 = penalty_gauge(UNIFORM4, avar(0.5), Rv(3.0 * y.values))
     assert g2 == pytest.approx(3.0 * g1, rel=1e-8)
+
+
+def test_gauges_of_subnormal_y_do_not_underflow():
+    # |y| is scaled by a power of two before p * |y| is formed, so a
+    # subnormal y gets the gauge of y * 2**100 scaled back, rounded once
+    space = FiniteProbSpace(np.array([0.2, 0.3, 0.5]))
+    y = np.array([0.0, 1e-315, 3e-316])
+    for t in (0.1, 0.5, 1.0):
+        assert dual_gauge_exact(space, avar(t), y) == math.ldexp(dual_gauge_exact(space, avar(t), y * 2.0**100), -100)
+    # a gauge below half the least subnormal reads the least subnormal, not 0
+    assert penalty_gauge(FiniteProbSpace.uniform(2), entropic(1.0), Rv([0.0, 5e-324])) == 5e-324
 
 
 def _subset_oracle(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -429,6 +440,13 @@ def test_entropic_risk_dual_regression():
     masses=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0)), min_size=12, max_size=12),
 )
+# subnormal y: p * |y| underflowed in the avar dual gauge (Dirichlet masses)
+# and made polar raise (uniform masses).  Subnormal entropic cases fail the
+# lower probe below instead, a limit of the probe: g * (1 - 2e-12) rounds
+# back to g near the least subnormal, and a subnormal gauge near 1e-316
+# carries only about 8 digits
+@example(rho=avar(1.0), n=2, masses=0, values=[0.0, 5e-324] + [0.0] * 10)
+@example(rho=avar(1.0), n=2, masses=None, values=[0.0, 5e-324] + [0.0] * 10)
 def test_risk_dual_brackets_hold_the_exact_gauge(rho, n, masses, values):
     # uniform or Dirichlet masses; integer values give ties and zero atoms
     probs = np.random.default_rng(masses).dirichlet(np.ones(n)) if masses is not None else np.full(n, 1.0 / n)
