@@ -41,10 +41,10 @@ _KELLEY_ITERS = 500
 # generalized Orlicz program: cuts per solve and Newton steps per master
 _CUT_ITERS = 100
 # simplex: smallest usable pivot element, smallest reduced cost worth a
-# pivot (costs are scaled to max 1), and pivots per solve
+# pivot (costs are scaled to max 1), and pivots per solve and tableau row
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-13
-_PIVOT_CAP = 500
+_PIVOTS_PER_ROW = 10
 # certified upper bounds are multiplied by this, so that the few roundings
 # in their evaluation cannot leave them below the exact maximum
 _ROUND_UP = 1.0 + 8.0 * 2.0**-52
@@ -471,26 +471,28 @@ def _min_ratio(cands: np.ndarray, num: np.ndarray, den: np.ndarray) -> int:
     return int(cands[tied][np.argmax(den[tied])])
 
 
-def _primal_simplex(tab: np.ndarray, basis: np.ndarray) -> None:
+def _primal_simplex(tab: np.ndarray, basis: np.ndarray) -> bool:
     """Primal pivots to optimality from a feasible basis (nonnegative rhs).
 
     Bland's rule picks the entering column, min-ratio ties go to the largest
     pivot element, pivots below _PIVOT_TOL are refused, and rounding never
-    leaves a negative right-hand side.  Raises ValueError when the LP is
-    unbounded, which happens only for a seminorm that vanishes along a
+    leaves a negative right-hand side.  Returns False when _PIVOTS_PER_ROW
+    pivots per row run out before the optimum.  Raises ValueError when the
+    LP is unbounded, which happens only for a seminorm that vanishes along a
     direction with positive pairing.
     """
     m = basis.size
-    for _ in range(_PIVOT_CAP):
+    for _ in range(_PIVOTS_PER_ROW * m):
         entering = np.flatnonzero(tab[m, :-1] < -_COST_TOL)
         if entering.size == 0:
-            return
+            return True
         j = int(entering[0])
         rows = np.flatnonzero(tab[:m, j] > _PIVOT_TOL)
         if rows.size == 0:
             raise ValueError(_VANISHING)
         _pivot(tab, basis, _min_ratio(rows, tab[rows, -1], tab[rows, j]), j)
         np.maximum(tab[:m, -1], 0.0, out=tab[:m, -1])
+    return False
 
 
 def _dual_simplex(tab: np.ndarray, basis: np.ndarray) -> bool:
@@ -501,7 +503,7 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray) -> bool:
     Returns False when no pivot is usable or the budget runs out.
     """
     m = basis.size
-    for _ in range(_PIVOT_CAP):
+    for _ in range(_PIVOTS_PER_ROW * m):
         r = int(np.argmin(tab[:m, -1]))
         if tab[r, -1] >= -1e-12:
             np.maximum(tab[:m, -1], 0.0, out=tab[:m, -1])
@@ -605,8 +607,9 @@ def maximize_linear_on_polytope(
     is bounded.  Each later LP starts from the previous optimal basis (dual
     simplex on the new row).  c is divided by max(c), so the stopping width
     does not depend on its scale.  Stops when the certified bound is within
-    _KELLEY_GAP of the best value; after _KELLEY_ITERS cuts, or when rounding
-    leaves a gap that no cut closes, the result says converged=False.
+    _KELLEY_GAP of the best value; after _KELLEY_ITERS cuts, when a simplex
+    solve runs out of pivots, or when rounding leaves a gap that no cut
+    closes, the result says converged=False.  Its bound stays certified.
     n_evals counts seminorm and facet evaluations.
     """
     n = c.size
@@ -626,7 +629,7 @@ def maximize_linear_on_polytope(
         return None
     a = np.array([first] + [cut(w) for w in starts[1:]])
     tab, basis = _tableau(f, a)
-    _primal_simplex(tab, basis)
+    optimal = _primal_simplex(tab, basis)
     evals = len(starts)
     best_val, best_x, upper = -_INF, np.zeros(n), _INF
     converged = False
@@ -646,6 +649,8 @@ def maximize_linear_on_polytope(
         if upper * scale - best_val <= _KELLEY_GAP * upper * scale:
             converged = True
             break
+        if not optimal:
+            break  # the pivots ran out short of the LP optimum: stop, do not cut
         g = cut(w)
         evals += 1
         if float(np.dot(g, d)) <= 1.0 + 1e-12:
@@ -654,7 +659,7 @@ def maximize_linear_on_polytope(
             if fresh:
                 break
             tab = _refactor(f, a, basis)
-            _primal_simplex(tab, basis)
+            optimal = _primal_simplex(tab, basis)
             fresh = True
             continue
         a = np.vstack([a, g])
@@ -663,7 +668,7 @@ def maximize_linear_on_polytope(
         fresh = not _dual_simplex(tab, basis)
         if fresh:
             tab, basis = _tableau(f, a)
-        _primal_simplex(tab, basis)
+        optimal = _primal_simplex(tab, basis)
     return MaximizeResult(best_val, best_x, converged, evals, max(upper * scale * _ROUND_UP, best_val))
 
 

@@ -437,10 +437,10 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         worst_holder = max(worst_holder, lhs - rhs)
     add("holder", worst_holder <= holder_slack, worst_holder)
 
-    # the bipolar round trip runs on the registered dual-ball gauge; specs
-    # without one would round-trip through nested polars (cutting planes on
-    # their witnesses), which can take minutes for line-search polars, so
-    # the sandwich check below covers their dual side
+    # the bipolar round trip runs on the registered dual-ball gauge, which
+    # every polyhedral and modular family has on every space; others would
+    # round-trip through nested polars, which can take minutes for
+    # line-search polars, so the sandwich check below covers their dual side
     if dual_spec_of(space, spec) is not None:
         bipolar_slack = slack if slack is not None else 1e-5
         worst_bipolar = 0.0

@@ -53,12 +53,7 @@ from .norms import (
     check_axioms,
     gen_orlicz_dual_norm,
 )
-from .risk import (
-    RiskMeasureSpec,
-    _avar_dual_gauge,
-    _dual_inf_form,
-    penalty_gauge,
-)
+from .risk import RiskMeasureSpec, _dual_inf_form, penalty_gauge
 from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space, _pow2_scaled, pairing
 from .young import MusielakFamily
 
@@ -136,9 +131,9 @@ def polar(
     y only through |y|, so the search runs over the nonnegative orthant; on
     uniform spaces with a rearrangement-invariant spec it runs on |y| sorted
     down, and the cutting planes restrict to nonincreasing profiles.  Specs
-    with a ``linear_piece_arr`` (L1, Linf, Marcinkiewicz, Lorentz, the avar
-    risk norm, the avar dual gauge and the numeric dual of
-    ``verify_bipolar``) are solved by Kelley cutting planes, specs with a
+    with a ``linear_piece_arr`` (L1, Linf, the Marcinkiewicz and Lorentz
+    norms, among them the avar risk norm and its dual, and the numeric dual
+    of ``verify_bipolar``) are solved by Kelley cutting planes, specs with a
     ``smooth_modular`` (Lp, power and exp Luxemburg, the entropic risk norm)
     and their Amemiya dual norms exactly by one Lagrange multiplier,
     generalized Orlicz norms by cutting planes on their inner seminorm.  The
@@ -230,25 +225,6 @@ def _smooth_polar(
     return maximize_linear_on_modular_ball(a, space.probs, modular, norm_fn, tol.gauge_rel)
 
 
-class _AvarDualNorm(Seminorm):
-    """The dual norm of the avar(t) risk norm: max over atom sets S of
-    t * E[|z| 1_S] / min(P(S), t), a polyhedral gauge whose facets are
-    those set bounds."""
-
-    rearrangement_invariant = True
-    axioms_by_construction = True
-    name = "risk-dual"
-
-    def __init__(self, level: float):
-        self.level = level
-
-    def _value_arr(self, space, x, tol):
-        return _avar_dual_gauge(space.probs, x, self.level)[0]
-
-    def linear_piece_arr(self, space, a):
-        return _avar_dual_gauge(space.probs, a, self.level)[1]
-
-
 class _AmemiyaDualNorm(Seminorm):
     """The dual norm of a seminorm whose unit ball is a modular set
     {E Phi(|x|) <= 1}: a Luxemburg norm, or the entropic risk norm.  It is
@@ -317,18 +293,19 @@ class _PolarNorm(Seminorm):
 def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
     """A seminorm object evaluating the closed-form polar of spec, if known.
 
-    None for custom seminorms and risk measures, for the generalized Orlicz
-    norms, for Lorentz norms off uniform spaces and for the entropic risk
-    norm past theta = 500, which has no modular form.
+    Lorentz and Marcinkiewicz norms are each other's duals on every space,
+    and avar(t) is the Lorentz norm of phi_t(s) = min(s, t) / t.  None for
+    custom seminorms and risk measures, for the generalized Orlicz norms and
+    for the entropic risk norm past theta = 500, which has no modular form.
     """
     if isinstance(spec, LpNorm):
         return LpNorm(_conjugate_exponent(spec.p))
     if isinstance(spec, MarcinkiewiczNorm):
         return LorentzNorm(spec.phi)
-    if isinstance(spec, LorentzNorm) and space.is_uniform:
+    if isinstance(spec, LorentzNorm):
         return MarcinkiewiczNorm(spec.phi)
     if isinstance(spec, RiskNorm) and spec.rho.kind == "avar":
-        return _AvarDualNorm(spec.rho.level)
+        return MarcinkiewiczNorm(spec.rho._phi)
     if isinstance(spec, LuxemburgNorm) or (
         isinstance(spec, RiskNorm) and spec.smooth_modular(space) is not None
     ):
@@ -370,10 +347,10 @@ def verify_bipolar(
 ) -> BipolarReport:
     """Round-trip the polar: sup{E[u*y] : polar-value(y) <= 1} vs seminorm(u).
 
-    The dual unit ball is gauged by the registered closed form when one
-    exists; otherwise by ``_PolarNorm``, whose cutting planes are the witnesses
-    of inner polars, so the outer polar runs Kelley's method on them.  seed
-    and tol reach every inner polar.
+    The dual unit ball is gauged by the closed form of ``dual_spec_of`` when
+    there is one; otherwise by ``_PolarNorm``, whose cutting planes are the
+    witnesses of inner polars, so the outer polar runs Kelley's method on
+    them.  seed and tol reach every inner polar.
     """
     dual = dual_spec_of(space, spec)
     if dual is None:

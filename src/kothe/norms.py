@@ -27,7 +27,7 @@ from ._optim import (
     prefix_indicators,
 )
 from .rearrange import _sorted_prefix
-from .risk import RiskMeasureSpec, _avar_density, _entropic_modular, _risk_norm_arr, _risk_rows
+from .risk import RiskMeasureSpec, _entropic_modular, _risk_norm_arr, _risk_rows
 from .space import (
     DEFAULT_TOL,
     CheckItem,
@@ -409,8 +409,8 @@ class LorentzNorm(Seminorm):
         return _lorentz_arr(space.probs, X, self.phi)
 
     def dual_value_arr(self, space, z, tol):
-        if not space.is_uniform:
-            return None
+        # max over atom sets S of E[|z| 1_S] / phi(P(S)), the dual of the
+        # Lovasz extension below; phi is concave, so top-k sets of |z| attain it
         return float(_marcinkiewicz_arr(space.probs, z, self.phi))
 
     def linear_piece_arr(self, space, a):
@@ -443,7 +443,7 @@ class RiskNorm(Seminorm):
     def linear_piece_arr(self, space, a):
         if self.rho.kind != "avar":
             return None
-        return _avar_density(space.probs, a, self.rho.level)
+        return LorentzNorm(self.rho._phi).linear_piece_arr(space, a)
 
     def smooth_modular(self, space):
         return _entropic_modular(self.rho, space.n_atoms)

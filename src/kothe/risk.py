@@ -8,6 +8,7 @@ properties verified by the randomized axiom checker rather than trusted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -71,6 +72,18 @@ class RiskMeasureSpec:
         if self.kind == "entropic":
             return f"entropic({self.theta:g})"
         return "custom-risk"
+
+    @functools.cached_property
+    def _phi(self):
+        """phi_t(s) = min(s, t) / t, whose Lorentz norm is avar(t); built once
+        per spec, without phi_tabulated's checks, as it passes them."""
+        from .norms import PhiConcave  # deferred: norms builds on this module
+
+        ts = np.unique([0.0, self.level, 1.0])
+        ys = np.minimum(ts, self.level) / self.level
+        ts.setflags(write=False)
+        ys.setflags(write=False)
+        return PhiConcave("tabulated", ts=ts, ys=ys)
 
 
 def avar(level: float) -> RiskMeasureSpec:
@@ -357,56 +370,26 @@ def penalty_gauge(
     return max(math.ldexp(m / hi, e), math.ulp(0.0))
 
 
-def _avar_dual_gauge(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[float, np.ndarray]:
-    """The exact dual norm against the tail-mean norm, and its active facet.
-
-    The penalty of a positively homogeneous measure is 0 or inf, so the
-    infimal dual form reduces to the feasibility gauge, and feasibility is a
-    finite family of set bounds (the same ones the avar penalty scans):
-    beta >= t * E[|z| 1_A] / min(P(A), t) for every atom set A.  The ratio
-    is at most E|z| when P(A) >= t and t * max|z| when P(A) <= t, and top-k
-    sets of |z| attain both, so one sorted prefix scan gives the maximum,
-    and t * p * 1_S / min(P(S), t) on the maximizing S is the facet.
-    """
-    a, e = _pow2_scaled(np.abs(z))
-    order, _, mass, sums = _sorted_prefix(probs, a)
-    ratio = sums / (np.minimum(mass, t) / t)
-    k = int(np.argmax(ratio))
-    g = np.zeros(z.size)
-    top = order[: k + 1]
-    g[top] = t * probs[top] / min(float(mass[k]), t)
-    return math.ldexp(float(ratio[k]), e), g
-
-
-def _avar_density(probs: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    """The worst-case density g of avar(t) at x: g.x = avar(x), g.u <= avar(u).
-
-    Along the stable descending sort of x, atoms wholly inside the top-t
-    tail get p_i / t, the atom on its boundary gets (t - mass before) / t,
-    and the rest get 0.  So 0 <= g <= p/t and sum(g) = 1, which makes g a
-    feasible density of the dual representation of avar.
-    """
-    order, _, mass, _ = _sorted_prefix(probs, x)
-    before = np.concatenate([[0.0], mass[:-1]])
-    g = np.empty(x.size)
-    g[order] = np.clip(t - before, 0.0, probs[order]) / t
-    return g
-
-
 def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray) -> float | None:
     """Fast exact dual-norm evaluator for the built-in risk measures.
 
-    avar takes one sorted prefix scan.  The entropic norm ball is a modular
-    set (``_entropic_modular``), so its dual norm is the Amemiya norm of that
-    Phi, computed from one Lagrange multiplier by ``amemiya_multiplier``.
-    None for a custom rho and for entropic theta > 500, which have no such
-    form.  Used where the dual norm appears inside another optimization;
-    the penalty-based infimal form stays the reference route in
-    risk_dual_norm.
+    avar(t) takes the Marcinkiewicz scan of phi_t on |z| * 2**-e, exactly
+    scaled so that p * |z| does not underflow.  The entropic norm ball is a
+    modular set (``_entropic_modular``), so its dual norm is the Amemiya norm
+    of that Phi, computed from one Lagrange multiplier by
+    ``amemiya_multiplier``.  None for a custom rho and for entropic theta >
+    500, which have no such form.  Used where the dual norm appears inside
+    another optimization; the penalty-based infimal form stays the reference
+    route in risk_dual_norm.
     """
     z = np.abs(z)
     if rho.kind == "avar":
-        return _avar_dual_gauge(space.probs, z, rho.level)[0]
+        from .norms import _marcinkiewicz_arr  # deferred: norms builds on this module
+
+        a, e = _pow2_scaled(z)
+        value = math.ldexp(float(_marcinkiewicz_arr(space.probs, a, rho._phi)), e)
+        # positive for z != 0 even where the gauge rounds below the least subnormal
+        return max(value, math.ulp(0.0)) if z.any() else 0.0
     modular = _entropic_modular(rho, space.n_atoms)
     if modular is None:
         return None

@@ -8,6 +8,7 @@ axiom screen on them; ``test_norms`` backs that declaration and
 import math
 
 from kothe import (
+    FiniteProbSpace,
     MusielakFamily,
     avar,
     entropic,
@@ -17,7 +18,7 @@ from kothe import (
     young_power,
     young_tabulated,
 )
-from kothe.duality import _AmemiyaDualNorm, _AvarDualNorm
+from kothe.duality import _AmemiyaDualNorm, dual_spec_of
 from kothe.norms import GenOrliczNorm, LorentzNorm, LpNorm, LuxemburgNorm, MarcinkiewiczNorm, RiskNorm
 
 _PHI_TAB = phi_tabulated([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
@@ -35,7 +36,7 @@ BUILTIN_FAMILIES = {
     "entropic": lambda n: RiskNorm(entropic(2.0)),
     "gen_orlicz_lp": lambda n: GenOrliczNorm(young_power(2.0), LpNorm(1.5)),
     "gen_orlicz_lorentz": lambda n: GenOrliczNorm(young_exponential(), LorentzNorm(phi_sqrt())),
-    "avar_dual": lambda n: _AvarDualNorm(0.3),
+    "avar_dual": lambda n: dual_spec_of(FiniteProbSpace.uniform(n), RiskNorm(avar(0.3))),
     "amemiya_dual_luxemburg": lambda n: _AmemiyaDualNorm(
         LuxemburgNorm(MusielakFamily.constant(young_power(2.3), n))
     ),

@@ -21,7 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kothe import FiniteProbSpace, Rv, avar, lorentz_norm, pairing, phi_sqrt, polar, verify_bipolar
+import kothe._optim
+from kothe import (
+    FiniteProbSpace,
+    Rv,
+    avar,
+    lorentz_norm,
+    pairing,
+    phi_identity,
+    phi_sqrt,
+    phi_tabulated,
+    polar,
+    verify_bipolar,
+)
 from kothe.cli import main
 from kothe.duality import dual_spec_of
 from kothe.norms import CustomSeminorm, LorentzNorm, LpNorm, MarcinkiewiczNorm, RiskNorm, Seminorm
@@ -85,12 +97,12 @@ def _oracle(name: str, probs: np.ndarray, y: np.ndarray) -> float:
 
 
 @st.composite
-def polar_cases(draw):
-    """(space, y): one to six atoms, with uniform masses (the comonotone path)
-    half the time and random ones otherwise, ties from a small integer grid,
-    zeros and sign changes in y.  Values are rounded to 1e-6 so that the
-    oracle's scaled LP keeps coefficients HiGHS accepts."""
-    n = draw(st.integers(1, 6))
+def polar_cases(draw, max_n=6):
+    """(space, y): one to max_n atoms, with uniform masses (the comonotone
+    path) half the time and random ones otherwise, ties from a small integer
+    grid, zeros and sign changes in y.  Values are rounded to 1e-6 so that
+    the oracle's scaled LP keeps coefficients HiGHS accepts."""
+    n = draw(st.integers(1, max_n))
     if draw(st.booleans()):
         space = FiniteProbSpace.uniform(n)
     else:
@@ -222,20 +234,84 @@ def test_vanishing_direction_raises_on_both_paths():
         polar(space, smooth, y)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_avar_check_passes_on_nonuniform_spaces(tmp_path, seed):
-    # the bipolar round trip needs the exact polar of the avar dual gauge;
-    # the line-search optimizer fell 1e-2 to 6e-2 short here
+def _bipolar_on_dirichlet(tmp_path, seed: int, config: str) -> dict:
+    """The bipolar item of ``kothe check`` on 8 Dirichlet atoms drawn from
+    seed, under the config text; the check must pass."""
     rng = np.random.default_rng(100 + seed)
     probs, x = rng.dirichlet(np.ones(8)), rng.standard_normal(8)
     path = tmp_path / "scenario.csv"
     path.write_text("prob,v\n" + "".join(f"{float(p)!r},{float(v)!r}\n" for p, v in zip(probs, x)))
-    cfg = tmp_path / "avar.cfg"
-    cfg.write_text("kind=avar\nlevel=0.5\n")
+    cfg = tmp_path / "spec.cfg"
+    cfg.write_text(config)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(["check", "--scenario", str(path), "--config", str(cfg)])
     doc = json.loads(buf.getvalue())
     assert code == 0, doc
-    bipolar = next(c for c in doc["checks"] if c["name"] == "bipolar")
+    return next(c for c in doc["checks"] if c["name"] == "bipolar")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_avar_check_passes_on_nonuniform_spaces(tmp_path, seed):
+    # the bipolar round trip needs the exact polar of the avar dual gauge;
+    # the line-search optimizer fell 1e-2 to 6e-2 short here
+    bipolar = _bipolar_on_dirichlet(tmp_path, seed, "kind=avar\nlevel=0.5\n")
     assert bipolar["passed"] and bipolar["worst"] <= 1e-12
+
+
+def test_lorentz_check_runs_bipolar_on_nonuniform_spaces(tmp_path):
+    # with the Marcinkiewicz norm registered as its dual on every space, the
+    # Lorentz check no longer skips the bipolar round trip off uniform spaces
+    bipolar = _bipolar_on_dirichlet(tmp_path, 0, "kind=lorentz\nphi=sqrt\n")
+    assert bipolar["passed"] and bipolar["worst"] <= 1e-12
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@settings(max_examples=60, deadline=None)
+@given(case=polar_cases(max_n=10))
+def test_every_polyhedral_family_has_a_registered_dual(name, case):
+    # the Lorentz dual is the top-k ratio scan of the Marcinkiewicz norm on
+    # every space, so each polyhedral polar is certified by a closed form
+    space, y = case
+    spec = _spec(name, space)
+    dual = dual_spec_of(space, spec)
+    assert dual is not None
+    res = polar(space, spec, Rv(y))
+    closed = dual.value(space, Rv(y))
+    assert res.gap <= 1e-12 * max(1.0, closed)
+    assert res.value * (1.0 - 1e-14) <= closed <= res.upper * (1.0 + 1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polar_cases(max_n=10), t=st.sampled_from([0.01, 0.1, 0.35, 0.5, 0.9, 1.0]))
+def test_avar_and_l1_are_lorentz_norms(case, t):
+    space, y = case
+    u = Rv(y)
+    phi_t = phi_tabulated([0.0, t, 1.0], [0.0, 1.0, 1.0]) if t < 1.0 else phi_identity()
+    assert RiskNorm(avar(t)).value(space, u) == pytest.approx(LorentzNorm(phi_t).value(space, u), rel=1e-14, abs=0.0)
+    assert LpNorm(1.0).value(space, u) == pytest.approx(LorentzNorm(phi_identity()).value(space, u), rel=1e-14, abs=0.0)
+
+
+def test_pivot_cap_scales_with_the_tableau():
+    # the comonotone LP starts with 600 prefix cuts; a cap of 500 pivots per
+    # solve stopped it 6.7e-3 short of the closed form, with converged=False
+    space = FiniteProbSpace.uniform(600)
+    y = Rv(np.random.default_rng(3).standard_normal(600))
+    res = polar(space, MarcinkiewiczNorm(phi_sqrt()), y)
+    assert res.converged
+    assert res.value == pytest.approx(lorentz_norm(space, y, phi_sqrt()), rel=1e-12)
+
+
+def test_a_capped_simplex_ends_the_polar_unconverged_with_a_bound(monkeypatch):
+    # one pivot per tableau row does not reach this LP's optimum: the polar
+    # stops there, unconverged, and its bound still holds the closed form
+    monkeypatch.setattr(kothe._optim, "_PIVOTS_PER_ROW", 1)
+    rng = np.random.default_rng(5)
+    space = FiniteProbSpace(rng.dirichlet(np.ones(20)))
+    y = Rv(rng.standard_normal(20))
+    spec = LorentzNorm(phi_sqrt())
+    res = polar(space, spec, y)
+    closed = dual_spec_of(space, spec).value(space, y)
+    assert not res.converged
+    assert res.value <= closed <= res.upper
+    assert spec.value(space, res.maximizer) <= 1.0 + 1e-12

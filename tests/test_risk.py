@@ -226,6 +226,10 @@ def test_gauges_of_subnormal_y_do_not_underflow():
         assert dual_gauge_exact(space, avar(t), y) == math.ldexp(dual_gauge_exact(space, avar(t), y * 2.0**100), -100)
     # a gauge below half the least subnormal reads the least subnormal, not 0
     assert penalty_gauge(FiniteProbSpace.uniform(2), entropic(1.0), Rv([0.0, 5e-324])) == 5e-324
+    # the exact avar(1/2) dual of [0, 5e-324] is 2**-1075, which rounds to 0
+    tiny = np.array([0.0, 5e-324])
+    assert dual_gauge_exact(FiniteProbSpace.uniform(2), avar(0.5), tiny) == 5e-324
+    assert penalty_gauge(FiniteProbSpace.uniform(2), avar(0.5), Rv(tiny)) == 5e-324
 
 
 def _subset_oracle(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
