@@ -3,11 +3,9 @@ probability spaces, with brute-force verification of the duality relations
 between them."""
 
 from .space import (
-    DEFAULT_TOL,
     FiniteProbSpace,
     Partition,
     Rv,
-    Tolerances,
     conditional_expectation,
     expectation,
     indicator,

@@ -35,6 +35,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_EXPAND = 400
 # line-search tolerances: coarse first, full precision once a pass stalls
 _XTOLS = (3e-5, 3e-7, 3e-9, 3e-11)
+# gauge roots (bisection and safeguarded Newton) stop at this relative width
+_GAUGE_REL = 1e-12
 # cutting planes: stop at this relative bracket width, or after this many cuts
 _KELLEY_GAP = 1e-12
 _KELLEY_ITERS = 500
@@ -55,17 +57,13 @@ class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its budget without meeting tolerance."""
 
 
-def bisect_gauge(
-    pred: Callable[[float], bool],
-    *,
-    hi0: float = 1.0,
-    rel_tol: float = 1e-12,
-) -> float:
+def bisect_gauge(pred: Callable[[float], bool], *, hi0: float = 1.0) -> float:
     """inf{b > 0 : pred(b)} for pred that is monotone (False below, True above).
 
-    Returns the upper end of the final bracket, at which pred holds, so a
-    point scaled by the result is feasible; 0.0 when pred holds arbitrarily
-    close to zero and +inf when it never holds within the expansion budget.
+    Returns the upper end of the final bracket, _GAUGE_REL relative wide, at
+    which pred holds, so a point scaled by the result is feasible; 0.0 when
+    pred holds arbitrarily close to zero and +inf when it never holds within
+    the expansion budget.
     """
     hi = max(hi0, 1e-300)
     for _ in range(_MAX_EXPAND):
@@ -80,7 +78,7 @@ def bisect_gauge(
         lo /= 2.0
         if lo < 1e-300:
             return 0.0
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _GAUGE_REL * hi:
         mid = 0.5 * (lo + hi)
         if pred(mid):
             hi = mid
@@ -89,19 +87,15 @@ def bisect_gauge(
     return hi
 
 
-def newton_gauge(
-    g: Callable[[float], float],
-    gprime: Callable[[float], float],
-    s0: float,
-    rel_tol: float,
-) -> float:
+def newton_gauge(g: Callable[[float], float], gprime: Callable[[float], float], s0: float) -> float:
     """1/s at the root s of g, for g increasing and convex on (0, inf).
 
     Gauges inf{beta : modular(a/beta) <= 1} are written in s = 1/beta, where
     the modular is increasing and convex.  The root is bracketed by doubling
     and halving from s0; Newton then runs from the upper end of the bracket
-    and falls back to bisection whenever a step leaves it.  Returns 0.0 when
-    the root lies above 1e300 and +inf when it lies below 1e-300.
+    and falls back to bisection whenever a step leaves it, until a step moves
+    s by at most _GAUGE_REL relative.  Returns 0.0 when the root lies above
+    1e300 and +inf when it lies below 1e-300.
     """
     hi = s0
     g_hi = g(hi)
@@ -126,14 +120,14 @@ def newton_gauge(
         nxt = s - val / gprime(s)
         if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - s) <= rel_tol * s:
+        if abs(nxt - s) <= _GAUGE_REL * s:
             return 1.0 / nxt
         s = nxt
         val = g(s)
     return 1.0 / s
 
 
-def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float) -> float:
+def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray) -> float:
     """Solve sum(coef * (a/beta)**k) = 1 for beta, with a >= 0 not all zero
     and k >= 1.
 
@@ -151,7 +145,6 @@ def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray, rel_tol: float)
         lambda s: float(np.dot(w, s**k)) - 1.0,
         lambda s: float(np.dot(w * k, s ** (k - 1.0))),
         s0,
-        rel_tol,
     )
     return m * gamma
 
@@ -722,7 +715,7 @@ class SmoothModular:
 
 
 def amemiya_multiplier(
-    a: np.ndarray, probs: np.ndarray, modular: SmoothModular, rel_tol: float
+    a: np.ndarray, probs: np.ndarray, modular: SmoothModular
 ) -> tuple[float, float]:
     """(mu, L(mu)) at the multiplier mu of the modular ball, for a >= 0;
     mu is that of a / max(a), which does not underflow at any scale of a.
@@ -738,9 +731,9 @@ def amemiya_multiplier(
     left side is increasing and convex.  For powers it is a power gauge in
     the conjugate exponents r/(r - 1); for the exp shape it is piecewise
     linear, and Newton from above stops on its exact root.  a is divided by
-    max(a), so the root does not depend on the scale of a; rel_tol is the
-    root's relative tolerance.  L(mu) is a bound at any mu, and it is
-    rounded up so that it stays one under rounding.  (0, 0) when a is zero.
+    max(a), so the root does not depend on the scale of a.  L(mu) is a
+    bound at any mu, and it is rounded up so that it stays one under
+    rounding.  (0, 0) when a is zero.
     """
     scale = float(a.max())
     if scale <= 0.0:
@@ -750,7 +743,7 @@ def amemiya_multiplier(
         k, r = modular.scale, modular.rate
         q = r / (r - 1.0)
         # probs * Phi(w(a s)) = probs * k * (k r)**-q * (a s)**q
-        mu = _power_gauge(a, probs * k * (k * r) ** -q, q, rel_tol)
+        mu = _power_gauge(a, probs * k * (k * r) ** -q, q)
     else:
         # probs * Phi(w(a s)) = probs * max(a s / rate - scale, 0)
         slope = a / modular.rate
@@ -759,7 +752,6 @@ def amemiya_multiplier(
             lambda s: float(np.dot(probs, np.maximum(slope * s - modular.scale, 0.0))) - 1.0,
             lambda s: max(float(np.dot(probs, np.where(slope * s > modular.scale, slope, 0.0))), 1e-300),
             modular.rate[top] * (modular.scale[top] + 1.0 / probs[top]),
-            rel_tol,
         )
     amemiya = mu * (1.0 + float(np.dot(probs, modular.phi_star(a / mu))))
     return mu, scale * amemiya * _ROUND_UP
@@ -770,7 +762,6 @@ def maximize_linear_on_modular_ball(
     probs: np.ndarray,
     modular: SmoothModular,
     norm_fn: Callable[[np.ndarray], float],
-    rel_tol: float,
 ) -> MaximizeResult:
     """Maximize sum_i probs_i a_i w_i over {w >= 0 : norm_fn(w) <= 1}.
 
@@ -778,16 +769,17 @@ def maximize_linear_on_modular_ball(
     and a >= 0 not all zero.  amemiya_multiplier gives the multiplier mu of
     a / max(a) and the bound upper = L(mu), attained by
     w = (Phi')^-1(a / (max(a) mu)).  The value is the pairing of
-    x = w / norm_fn(w), divided by 1 + rel_tol when x lies outside the ball
-    (a Newton gauge may sit up to rel_tol below the norm; a bisection gauge
-    returns the upper end of its bracket), so it is a feasible lower bound.
+    x = w / norm_fn(w), divided by 1 + _GAUGE_REL when x lies outside the
+    ball (a Newton gauge may sit up to _GAUGE_REL below the norm; a
+    bisection gauge returns the upper end of its bracket), so it is a
+    feasible lower bound.
     n_evals counts seminorm evaluations.
     """
-    mu, upper = amemiya_multiplier(a, probs, modular, rel_tol)
+    mu, upper = amemiya_multiplier(a, probs, modular)
     w = modular.dphi_inv(a / float(a.max()) / mu)
     x = w / norm_fn(w)
     if float(np.dot(probs, modular.phi(x))) > 1.0:
-        x = x / (1.0 + rel_tol)
+        x = x / (1.0 + _GAUGE_REL)
     value = float(np.dot(probs * a, x))
     return MaximizeResult(value, x, True, 1, max(upper, value))
 

@@ -47,7 +47,7 @@ from .risk import (
     risk_dual_norm,
     risk_norm,
 )
-from .space import DEFAULT_TOL, FiniteProbSpace, Rv, pairing
+from .space import FiniteProbSpace, Rv, pairing
 from .young import MusielakFamily, YoungFunction, young_exponential, young_indicator_ball, young_power, young_power_over_p
 
 SCHEMA = "1"
@@ -336,7 +336,7 @@ def cmd_dual(args) -> int:
     y = scenario.column(args.column)
     seed = args.seed if args.seed is not None else 0
     res = polar(scenario.space, spec, y, seed=seed)
-    closed = spec.dual_value_arr(scenario.space, y.values, DEFAULT_TOL)
+    closed = spec.dual_value_arr(scenario.space, y.values)
     payload = {
         "polar": res.value,
         "closed_form": closed,
@@ -472,7 +472,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         for _ in range(3):
             y = Rv(rng.standard_normal(n))
             res = polar(space, spec, y, seed=seed)
-            closed = spec.dual_value_arr(space, y.values, DEFAULT_TOL)
+            closed = spec.dual_value_arr(space, y.values)
             worst_agree = max(worst_agree, abs(res.value - closed))
         add("lorentz_polar_agreement", worst_agree <= 1e-5, worst_agree)
 

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._optim import (
+    _GAUGE_REL,
     _ROUND_UP,
     MaximizeResult,
     amemiya_multiplier,
@@ -54,7 +55,7 @@ from .norms import (
     gen_orlicz_dual_norm,
 )
 from .risk import RiskMeasureSpec, _dual_inf_form, penalty_gauge
-from .space import DEFAULT_TOL, FiniteProbSpace, Rv, Tolerances, _check_on_space, _pow2_scaled, pairing
+from .space import FiniteProbSpace, Rv, _check_on_space, _pow2_scaled, _scale_back, pairing
 from .young import MusielakFamily
 
 __all__ = [
@@ -72,6 +73,8 @@ __all__ = [
 ]
 
 _INF = math.inf
+# the slack of verify_holder's inequality
+_HOLDER_SLACK = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +126,6 @@ def polar(
     y: Rv,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> PolarResult:
     """sup{E[u*y] : seminorm(u) <= 1} by direct optimization.
 
@@ -150,7 +152,7 @@ def polar(
         return PolarResult(0.0, Rv.zero(n), "exact-comonotone", 0.0, True, 0.0)
 
     def norm_fn(w: np.ndarray) -> float:
-        return spec._value_arr(space, w, tol)
+        return spec._value_arr(space, w)
 
     def facet_fn(w: np.ndarray) -> np.ndarray | None:
         return spec.linear_piece_arr(space, w)
@@ -172,7 +174,7 @@ def polar(
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
     res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=comonotone, starts=starts)
     if res is None:
-        res = _smooth_polar(space, spec, a, norm_fn, tol)
+        res = _smooth_polar(space, spec, a, norm_fn)
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
@@ -183,7 +185,7 @@ def polar(
     u_vals[index] = res.x
     u_vals *= np.sign(z)
     method = "comonotone" if comonotone else "subgradient"
-    value = math.ldexp(res.value, e)
+    value = _scale_back(res.value, e)
 
     if comonotone and res.upper is None:
         # invariance makes every rearrangement of the profile feasible, and by
@@ -195,34 +197,32 @@ def polar(
         if val > value + 1e-15:
             value, u_vals, method = val, np.sign(z) * arranged, "enumeration"
 
-    closed = spec.dual_value_arr(space, z, tol)
+    closed = spec.dual_value_arr(space, z)
     gap = max(0.0, closed - value) if closed is not None else 0.0
     upper = None if res.upper is None else max(math.ldexp(res.upper, e), value)
     return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
 
 
-def _smooth_polar(
-    space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn, tol: Tolerances
-) -> MaximizeResult | None:
+def _smooth_polar(space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn) -> MaximizeResult | None:
     """The exact polar at |y| = a, in atom order, for modular unit balls, the
     Amemiya dual norm and generalized Orlicz norms; None for other specs."""
     if isinstance(spec, GenOrliczNorm):
-        found = spec.dual_brackets(space, a, tol)
+        found = spec.dual_brackets(space, a)
         if found is None:
             return None
         return MaximizeResult(found.value, found.x, found.converged, found.n_evals, found.value_upper)
     if isinstance(spec, _AmemiyaDualNorm):
-        found = spec.polar_witness(space, a, tol)
+        found = spec.polar_witness(space, a)
         if found is None:
             return None
         w, lam = found
         x = w / norm_fn(w)
-        upper = lam * (1.0 + tol.gauge_rel) * _ROUND_UP
+        upper = lam * (1.0 + _GAUGE_REL) * _ROUND_UP
         return MaximizeResult(float(np.dot(space.probs * a, x)), x, True, 1, upper)
     modular = spec.smooth_modular(space)
     if modular is None:
         return None
-    return maximize_linear_on_modular_ball(a, space.probs, modular, norm_fn, tol.gauge_rel)
+    return maximize_linear_on_modular_ball(a, space.probs, modular, norm_fn)
 
 
 class _AmemiyaDualNorm(Seminorm):
@@ -238,16 +238,14 @@ class _AmemiyaDualNorm(Seminorm):
         self.primal = primal
         self.rearrangement_invariant = primal.rearrangement_invariant
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         modular = self.primal.smooth_modular(space)
         if modular is None:
             # a Young family without a closed-form Phi': its golden route
-            return self.primal.dual_value_arr(space, x, tol)
-        return amemiya_multiplier(np.abs(x), space.probs, modular, tol.gauge_rel)[1]
+            return self.primal.dual_value_arr(space, x)
+        return amemiya_multiplier(np.abs(x), space.probs, modular)[1]
 
-    def polar_witness(
-        self, space: FiniteProbSpace, a: np.ndarray, tol: Tolerances
-    ) -> tuple[np.ndarray, float] | None:
+    def polar_witness(self, space: FiniteProbSpace, a: np.ndarray) -> tuple[np.ndarray, float] | None:
         """(w, lam) for a >= 0: lam is the primal norm of a, and
         w = Phi'(a / lam) attains it, <p a, w> = lam * (this norm of w).
 
@@ -258,7 +256,7 @@ class _AmemiyaDualNorm(Seminorm):
         modular = self.primal.smooth_modular(space)
         if modular is None:
             return None
-        lam = self.primal._value_arr(space, a, tol)
+        lam = self.primal._value_arr(space, a)
         v = a / lam
         return np.where(v > 0.0, modular.dphi(v), 0.0), lam
 
@@ -276,17 +274,16 @@ class _PolarNorm(Seminorm):
     name = "numeric-dual"
     axioms_by_construction = True  # each inner polar screens the primal itself
 
-    def __init__(self, primal: Seminorm, seed: int, tol: Tolerances):
+    def __init__(self, primal: Seminorm, seed: int):
         self.primal = primal
         self.seed = seed
-        self.tol = tol
         self.rearrangement_invariant = primal.rearrangement_invariant
 
-    def _value_arr(self, space, x, tol):
-        return polar(space, self.primal, Rv(x), seed=self.seed, tol=self.tol).value
+    def _value_arr(self, space, x):
+        return polar(space, self.primal, Rv(x), seed=self.seed).value
 
     def linear_piece_arr(self, space, a):
-        u = polar(space, self.primal, Rv(a), seed=self.seed, tol=self.tol).maximizer
+        u = polar(space, self.primal, Rv(a), seed=self.seed).maximizer
         return space.probs * np.abs(u.values)
 
 
@@ -319,14 +316,12 @@ def verify_holder(
     u: Rv,
     y: Rv,
     *,
-    slack: float = 1e-8,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> bool:
-    """Check E[u*y] <= seminorm(u) * polar(y) + slack."""
+    """Check E[u*y] <= seminorm(u) * polar(y) + 1e-8."""
     lhs = pairing(space, u, y)
-    rhs = spec.value(space, u, tol=tol) * polar(space, spec, y, seed=seed, tol=tol).value
-    return lhs <= rhs + slack
+    rhs = spec.value(space, u) * polar(space, spec, y, seed=seed).value
+    return lhs <= rhs + _HOLDER_SLACK
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,20 +338,19 @@ def verify_bipolar(
     u: Rv,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> BipolarReport:
     """Round-trip the polar: sup{E[u*y] : polar-value(y) <= 1} vs seminorm(u).
 
     The dual unit ball is gauged by the closed form of ``dual_spec_of`` when
     there is one; otherwise by ``_PolarNorm``, whose cutting planes are the
     witnesses of inner polars, so the outer polar runs Kelley's method on
-    them.  seed and tol reach every inner polar.
+    them.  seed reaches every inner polar.
     """
     dual = dual_spec_of(space, spec)
     if dual is None:
-        dual = _PolarNorm(spec, seed, tol)
-    res = polar(space, dual, u, seed=seed, tol=tol)
-    primal = spec.value(space, u, tol=tol)
+        dual = _PolarNorm(spec, seed)
+    res = polar(space, dual, u, seed=seed)
+    primal = spec.value(space, u)
     rel_gap = abs(res.value - primal) / max(abs(primal), 1e-30)
     if primal == 0.0 and res.value == 0.0:
         rel_gap = 0.0
@@ -379,7 +373,6 @@ def verify_sandwich(
     *,
     slack: float = 1e-6,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> SandwichReport:
     """Check gauge <= dual norm <= 2 * gauge for the Luxemburg-type pairs.
 
@@ -391,13 +384,13 @@ def verify_sandwich(
     if isinstance(hspec, MusielakFamily):
         from .norms import amemiya_dual_norm, luxemburg_norm
 
-        lower = luxemburg_norm(space, y, hspec.conjugate(), tol=tol)
-        value = amemiya_dual_norm(space, y, hspec, tol=tol)
+        lower = luxemburg_norm(space, y, hspec.conjugate())
+        value = amemiya_dual_norm(space, y, hspec)
     elif isinstance(hspec, RiskMeasureSpec):
         lower = penalty_gauge(space, hspec, y, seed=seed)
         value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed)[1]
     elif isinstance(hspec, GenOrliczNorm):
-        res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner, tol=tol)
+        res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner)
         lower, value = res.max_form, res.value
     else:
         raise TypeError("hspec must be a MusielakFamily, RiskMeasureSpec or GenOrliczNorm")

@@ -29,11 +29,9 @@ from ._optim import (
 from .rearrange import _sorted_prefix
 from .risk import RiskMeasureSpec, _entropic_modular, _risk_norm_arr, _risk_rows
 from .space import (
-    DEFAULT_TOL,
     CheckItem,
     FiniteProbSpace,
     Rv,
-    Tolerances,
     _check_on_space,
     _shrinking_rows,
     _WorstCase,
@@ -71,6 +69,8 @@ __all__ = [
 ]
 
 _INF = math.inf
+# largest violation that the axiom checker forgives, relative to the probes' scale
+_AXIOM_SLACK = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -148,34 +148,34 @@ def phi_tabulated(ts, ys) -> PhiConcave:
 class Seminorm(abc.ABC):
     """A symmetric sublinear functional of a random variable.
 
-    ``_value_arr`` evaluates one value vector.  ``_value_rows(space, X, tol)``
-    evaluates each row of a 2-D X and returns a 1-D array of the same values
-    as ``_value_arr`` on those rows, to within 1e-15 relative.  By default
-    it calls ``_value_arr`` once per row, so a callback only ever sees 1-D
-    arrays; Lp, Marcinkiewicz, Lorentz and the avar risk norm evaluate all
-    rows at once with the formulas of ``_value_arr``.  The axiom checker
-    sends it one trial at a time, at most n + 7 rows.
+    ``_value_arr(space, x)`` evaluates one value vector x.
+    ``_value_rows(space, X)`` evaluates each row of a 2-D X and returns a 1-D
+    array of the same values as ``_value_arr`` on those rows, to within
+    1e-15 relative.  Neither takes a tolerance: the gauges stop at the fixed
+    relative width ``_optim._GAUGE_REL``.  By default ``_value_rows`` calls
+    ``_value_arr`` once per row, so a callback only ever sees 1-D arrays;
+    Lp, Marcinkiewicz, Lorentz and the avar risk norm evaluate all rows at
+    once with the formulas of ``_value_arr``.  The axiom checker sends it
+    one trial at a time, at most n + 7 rows.
     """
 
     name: str = "seminorm"
     rearrangement_invariant: bool = False
     axioms_by_construction: bool = False  # no callback decides the axioms, so polar need not screen them
 
-    def value(self, space: FiniteProbSpace, u: Rv, *, tol: Tolerances = DEFAULT_TOL) -> float:
+    def value(self, space: FiniteProbSpace, u: Rv) -> float:
         _check_on_space(space, u)
-        return self._value_arr(space, u.values, tol)
+        return self._value_arr(space, u.values)
 
     @abc.abstractmethod
-    def _value_arr(self, space: FiniteProbSpace, x: np.ndarray, tol: Tolerances) -> float:
+    def _value_arr(self, space: FiniteProbSpace, x: np.ndarray) -> float:
         """Evaluation on a raw value vector; the optimizer hot path."""
 
-    def _value_rows(self, space: FiniteProbSpace, X: np.ndarray, tol: Tolerances) -> np.ndarray:
+    def _value_rows(self, space: FiniteProbSpace, X: np.ndarray) -> np.ndarray:
         """Evaluation on each row of X (see the class docstring)."""
-        return np.array([self._value_arr(space, x, tol) for x in X])
+        return np.array([self._value_arr(space, x) for x in X])
 
-    def dual_value_arr(
-        self, space: FiniteProbSpace, z: np.ndarray, tol: Tolerances
-    ) -> float | None:
+    def dual_value_arr(self, space: FiniteProbSpace, z: np.ndarray) -> float | None:
         """Closed-form dual norm when one is known and valid on this space."""
         return None
 
@@ -237,13 +237,13 @@ class LpNorm(Seminorm):
         self.p = p
         self.name = "Linf" if math.isinf(p) else f"L{p:g}"
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         return float(_lp_arr(space.probs, x, self.p))
 
-    def _value_rows(self, space, X, tol):
+    def _value_rows(self, space, X):
         return _lp_arr(space.probs, X, self.p)
 
-    def dual_value_arr(self, space, z, tol):
+    def dual_value_arr(self, space, z):
         return float(_lp_arr(space.probs, z, _conjugate_exponent(self.p)))
 
     def linear_piece_arr(self, space, a):
@@ -272,7 +272,7 @@ class LuxemburgNorm(Seminorm):
         self.rearrangement_invariant = family.is_constant
         self.name = "luxemburg"
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         _check_family_size(self.family, x.size)
         a = np.abs(x)
         if not np.any(a > 0.0):
@@ -282,17 +282,16 @@ class LuxemburgNorm(Seminorm):
             # E Phi(a/beta) = sum(prob_i * scale_i * (a_i/beta)**p_i)
             mask = a > 0.0
             coef = space.probs[mask] * self.family._pow_scale[mask]  # type: ignore[attr-defined]
-            return _power_gauge(a[mask], coef, pw[mask], tol.gauge_rel)
+            return _power_gauge(a[mask], coef, pw[mask])
         # the gauge is positively homogeneous: bisect on a / max(a) at any scale
         m = float(a.max())
         a = a / m
         return m * bisect_gauge(
             lambda b: self.family.modular(space.probs, a / b) <= 1.0,
-            rel_tol=tol.gauge_rel,
         )
 
-    def dual_value_arr(self, space, z, tol):
-        return _amemiya_arr(space.probs, z, self.family, tol)
+    def dual_value_arr(self, space, z):
+        return _amemiya_arr(space.probs, z, self.family)
 
     def smooth_modular(self, space):
         _check_family_size(self.family, space.n_atoms)
@@ -332,13 +331,13 @@ class MarcinkiewiczNorm(Seminorm):
         self.phi = phi
         self.name = f"marcinkiewicz({phi.name})"
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         return float(_marcinkiewicz_arr(space.probs, x, self.phi))
 
-    def _value_rows(self, space, X, tol):
+    def _value_rows(self, space, X):
         return _marcinkiewicz_arr(space.probs, X, self.phi)
 
-    def dual_value_arr(self, space, z, tol):
+    def dual_value_arr(self, space, z):
         # in x = p * w the unit ball is the polymatroid x(S) <= phi(P(S)),
         # where the greedy vertex in |z| order maximizes: the Lorentz norm
         return float(_lorentz_arr(space.probs, z, self.phi))
@@ -402,13 +401,13 @@ class LorentzNorm(Seminorm):
         self.phi = phi
         self.name = f"lorentz({phi.name})"
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         return float(_lorentz_arr(space.probs, x, self.phi))
 
-    def _value_rows(self, space, X, tol):
+    def _value_rows(self, space, X):
         return _lorentz_arr(space.probs, X, self.phi)
 
-    def dual_value_arr(self, space, z, tol):
+    def dual_value_arr(self, space, z):
         # max over atom sets S of E[|z| 1_S] / phi(P(S)), the dual of the
         # Lovasz extension below; phi is concave, so top-k sets of |z| attain it
         return float(_marcinkiewicz_arr(space.probs, z, self.phi))
@@ -431,14 +430,14 @@ class RiskNorm(Seminorm):
         self.axioms_by_construction = rho.kind in ("avar", "entropic")  # the kinds _risk_arr evaluates itself
         self.name = f"risknorm({rho.name})"
 
-    def _value_arr(self, space, x, tol):
-        return _risk_norm_arr(space, self.rho, np.abs(x), tol)
+    def _value_arr(self, space, x):
+        return _risk_norm_arr(space, self.rho, np.abs(x))
 
-    def _value_rows(self, space, X, tol):
+    def _value_rows(self, space, X):
         if self.rho.kind == "avar" and self.rho.positively_homogeneous:
             # the gauge of a positively homogeneous rho is rho itself, 0 on zero rows
             return _risk_rows(space, self.rho, np.abs(X))
-        return super()._value_rows(space, X, tol)
+        return super()._value_rows(space, X)
 
     def linear_piece_arr(self, space, a):
         if self.rho.kind != "avar":
@@ -474,7 +473,7 @@ class GenOrliczNorm(Seminorm):
             )
         self._inner_checked.add(key)
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         self._ensure_inner(space)
         a = np.abs(x)
         if not np.any(a > 0.0):
@@ -483,20 +482,17 @@ class GenOrliczNorm(Seminorm):
         m = float(a.max())
         a = a / m
         return m * bisect_gauge(
-            lambda b: self.inner._value_arr(space, self.phi.eval_array(a / b), tol) <= 1.0,
-            rel_tol=tol.gauge_rel,
+            lambda b: self.inner._value_arr(space, self.phi.eval_array(a / b)) <= 1.0,
         )
 
-    def dual_brackets(
-        self, space: FiniteProbSpace, z: np.ndarray, tol: Tolerances
-    ) -> GenOrliczDualResult | None:
+    def dual_brackets(self, space: FiniteProbSpace, z: np.ndarray) -> GenOrliczDualResult | None:
         """Both forms of the dual norm at |y| = z; None when Phi' has no closed
         form or the inner seminorm has neither facets nor a modular ball."""
         modular = _smooth_modular(MusielakFamily.constant(self.phi, space.n_atoms))
         ball = self.inner.smooth_modular(space)
 
         def inner(u: np.ndarray) -> float:
-            return self.inner._value_arr(space, u, tol)
+            return self.inner._value_arr(space, u)
 
         def cut(u: np.ndarray) -> np.ndarray | None:
             g = self.inner.linear_piece_arr(space, u)
@@ -526,7 +522,7 @@ class CustomSeminorm(Seminorm):
         self.rearrangement_invariant = rearrangement_invariant
         self.name = name
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         return float(self.fn(space, x))
 
 
@@ -541,32 +537,21 @@ def lp_norm(space: FiniteProbSpace, u: Rv, p: float) -> float:
     return LpNorm(p).value(space, u)
 
 
-def luxemburg_norm(
-    space: FiniteProbSpace,
-    u: Rv,
-    family: MusielakFamily,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def luxemburg_norm(space: FiniteProbSpace, u: Rv, family: MusielakFamily) -> float:
     """inf{beta > 0 : E Phi(|u|/beta) <= 1}.
 
     Safeguarded Newton when every Phi is a power, bisection on the modular
     otherwise.
     """
-    return LuxemburgNorm(family).value(space, u, tol=tol)
+    return LuxemburgNorm(family).value(space, u)
 
 
-def _amemiya_arr(
-    probs: np.ndarray,
-    z: np.ndarray,
-    family: MusielakFamily,
-    tol: Tolerances,
-) -> float:
+def _amemiya_arr(probs: np.ndarray, z: np.ndarray, family: MusielakFamily) -> float:
     """inf over beta of beta * (1 + E Phi*(|z|/beta)) for the family Phi."""
     a = np.abs(z)
     modular = _smooth_modular(family)
     if modular is not None:
-        return amemiya_multiplier(a, probs, modular, tol.gauge_rel)[1]
+        return amemiya_multiplier(a, probs, modular)[1]
     if not np.any(a > 0.0):
         return 0.0
     conj_family = family.conjugate()
@@ -577,17 +562,11 @@ def _amemiya_arr(
     def objective(beta: float) -> float:
         return beta * conj_family.modular(probs, a / beta) + beta
 
-    _, value = minimize_scalar_convex(objective, x0=float(np.dot(probs, a)), tol=tol.golden)
+    _, value = minimize_scalar_convex(objective, x0=float(np.dot(probs, a)))
     return m * value
 
 
-def amemiya_dual_norm(
-    space: FiniteProbSpace,
-    y: Rv,
-    family: MusielakFamily,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def amemiya_dual_norm(space: FiniteProbSpace, y: Rv, family: MusielakFamily) -> float:
     """inf over beta of beta * E Phi*(|y|/beta) + beta.
 
     When every Phi is a power x**p with p > 1 or every Phi is e^x - 1, the
@@ -598,7 +577,7 @@ def amemiya_dual_norm(
     """
     _check_on_space(space, y, "y")
     _check_family_size(family, space.n_atoms)
-    return _amemiya_arr(space.probs, y.values, family, tol)
+    return _amemiya_arr(space.probs, y.values, family)
 
 
 def marcinkiewicz_norm(space: FiniteProbSpace, u: Rv, phi: PhiConcave) -> float:
@@ -609,15 +588,8 @@ def lorentz_norm(space: FiniteProbSpace, y: Rv, phi: PhiConcave) -> float:
     return LorentzNorm(phi).value(space, y)
 
 
-def gen_orlicz_norm(
-    space: FiniteProbSpace,
-    u: Rv,
-    phi: YoungFunction,
-    r: Seminorm,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    return GenOrliczNorm(phi, r).value(space, u, tol=tol)
+def gen_orlicz_norm(space: FiniteProbSpace, u: Rv, phi: YoungFunction, r: Seminorm) -> float:
+    return GenOrliczNorm(phi, r).value(space, u)
 
 
 def gen_orlicz_dual_norm(
@@ -625,8 +597,6 @@ def gen_orlicz_dual_norm(
     y: Rv,
     phi: YoungFunction,
     r: Seminorm,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> GenOrliczDualResult:
     """Both forms of the dual norm of the generalized Orlicz norm, bracketed.
 
@@ -639,7 +609,7 @@ def gen_orlicz_dual_norm(
     _check_on_space(space, y, "y")
     norm = GenOrliczNorm(phi, r)
     norm._ensure_inner(space)
-    res = norm.dual_brackets(space, np.abs(y.values), tol)
+    res = norm.dual_brackets(space, np.abs(y.values))
     if res is None:
         raise ValueError(
             "the generalized Orlicz dual needs Phi = x**p (p > 1) or e^x - 1 "
@@ -701,8 +671,6 @@ def check_axioms(
     trials: int = 40,
     *,
     seed: int = 0,
-    slack: float = 1e-8,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> AxiomReport:
     """Randomized report on the seminorm axioms for this spec on this space.
 
@@ -732,7 +700,7 @@ def check_axioms(
         ind[rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1.0
         # one row evaluation per trial, n + 7 rows: u, v, -u, alpha u, u + v,
         # the dominated vector, the shrinking chain and the indicator
-        vals = spec._value_rows(space, np.vstack([u, v, -u, alpha * u, u + v, dominated, chain, ind]), tol)
+        vals = spec._value_rows(space, np.vstack([u, v, -u, alpha * u, u + v, dominated, chain, ind]))
         pu, pv, p_neg, p_alpha, p_sum, p_dom = vals[:6].tolist()
         scale = max(1.0, abs(pu), abs(pv))
         worst.bump("nonnegative", -pu / scale, u)
@@ -750,12 +718,12 @@ def check_axioms(
         if not np.isfinite(vals[-1]):
             indicator_ok = False
 
-    items = [worst.item(k, slack) for k in ("nonnegative", "symmetry", "homogeneity", "subadditivity")]
+    items = [worst.item(k, _AXIOM_SLACK) for k in ("nonnegative", "symmetry", "homogeneity", "subadditivity")]
     items += [
         CheckItem("lower_l1_bound", c_lower > 1e-10, c_lower),
         CheckItem("bounded_by_sup", np.isfinite(c_upper), c_upper),
-        worst.item("solid_monotone", slack),
-        worst.item("order_continuity", slack),
+        worst.item("solid_monotone", _AXIOM_SLACK),
+        worst.item("order_continuity", _AXIOM_SLACK),
         CheckItem("decomposable", indicator_ok, 0.0 if indicator_ok else _INF),
     ]
     return AxiomReport(tuple(items), c_lower, c_upper)
@@ -781,12 +749,7 @@ class FundamentalFunctions:
         }
 
 
-def fundamental_functions(
-    space: FiniteProbSpace,
-    spec: Seminorm,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> FundamentalFunctions:
+def fundamental_functions(space: FiniteProbSpace, spec: Seminorm) -> FundamentalFunctions:
     """Exact fundamental functions by subset enumeration.
 
     On more than 20 atoms enumeration is refused unless the spec is declared
@@ -795,7 +758,7 @@ def fundamental_functions(
     """
     n = space.n_atoms
     if spec.rearrangement_invariant and space.is_uniform:
-        vals = np.array([spec._value_arr(space, ind, tol) for ind in prefix_indicators(n)])
+        vals = np.array([spec._value_arr(space, ind) for ind in prefix_indicators(n)])
         ts = np.arange(1, n + 1) / n
         # monotone under domination, so the sup and inf both land on vals
         return FundamentalFunctions(ts, vals, vals)
@@ -806,7 +769,7 @@ def fundamental_functions(
     for mask in range(1, 2**n):
         sel = np.array([(mask >> i) & 1 for i in range(n)], dtype=float)
         pas.append(float(np.dot(space.probs, sel)))
-        vals.append(spec._value_arr(space, sel, tol))
+        vals.append(spec._value_arr(space, sel))
     pas_arr = np.asarray(pas)
     vals_arr = np.asarray(vals)
     order = np.argsort(pas_arr, kind="stable")
@@ -821,14 +784,8 @@ def fundamental_functions(
     return FundamentalFunctions(ts, upper, lower)
 
 
-def family_membership(
-    space: FiniteProbSpace,
-    u: Rv,
-    family: NormFamily,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def family_membership(space: FiniteProbSpace, u: Rv, family: NormFamily) -> np.ndarray:
     """Evaluate every seminorm of the family on u; all finite on finite spaces."""
     if not family:
         raise ValueError("the family must be nonempty")
-    return np.array([spec.value(space, u, tol=tol) for spec in family])
+    return np.array([spec.value(space, u) for spec in family])

@@ -24,13 +24,12 @@ from ._optim import (
 )
 from .rearrange import _sorted_prefix, _tail_min
 from .space import (
-    DEFAULT_TOL,
     CheckItem,
     FiniteProbSpace,
     Rv,
-    Tolerances,
     _check_on_space,
     _pow2_scaled,
+    _scale_back,
     _shrinking_rows,
     _WorstCase,
 )
@@ -52,6 +51,8 @@ __all__ = [
 ]
 
 _INF = math.inf
+# largest violation that the risk axiom checker forgives, relative to the probes' scale
+_AXIOM_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +162,7 @@ def evaluate_risk(space: FiniteProbSpace, rho: RiskMeasureSpec, u: Rv) -> float:
     return _risk_arr(space, rho, u.values)
 
 
-def _risk_norm_arr(
-    space: FiniteProbSpace,
-    rho: RiskMeasureSpec,
-    x_abs: np.ndarray,
-    tol: Tolerances,
-) -> float:
+def _risk_norm_arr(space: FiniteProbSpace, rho: RiskMeasureSpec, x_abs: np.ndarray) -> float:
     if not np.any(x_abs > 0.0):
         return 0.0
     if rho.positively_homogeneous:
@@ -185,30 +181,22 @@ def _risk_norm_arr(
             lambda s: _entropic_arr(probs, s * x_abs, theta) - 1.0,
             slope,
             1.0 / float(x_abs.max()),
-            tol.gauge_rel,
         )
     hi0 = max(float(x_abs.max()), abs(_risk_arr(space, rho, x_abs)), 1e-12)
     return bisect_gauge(
         lambda b: _risk_arr(space, rho, x_abs / b) <= 1.0,
         hi0=hi0,
-        rel_tol=tol.gauge_rel,
     )
 
 
-def risk_norm(
-    space: FiniteProbSpace,
-    rho: RiskMeasureSpec,
-    u: Rv,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def risk_norm(space: FiniteProbSpace, rho: RiskMeasureSpec, u: Rv) -> float:
     """inf{beta > 0 : rho(|u|/beta) <= 1}.
 
     rho itself for positively homogeneous rho, safeguarded Newton for the
     entropic measure and gauge bisection otherwise.
     """
     _check_on_space(space, u)
-    return _risk_norm_arr(space, rho, np.abs(u.values), tol)
+    return _risk_norm_arr(space, rho, np.abs(u.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,8 +354,7 @@ def penalty_gauge(
         if hi - lo <= 1e-13 * hi or hi < s <= hi * (1.0 + 1e-13):
             break
         s = hi if hi < s else 0.5 * (lo + hi)
-    # positive for y != 0 even where the gauge rounds below the least subnormal
-    return max(math.ldexp(m / hi, e), math.ulp(0.0))
+    return _scale_back(m / hi, e)
 
 
 def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray) -> float | None:
@@ -387,13 +374,11 @@ def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray
         from .norms import _marcinkiewicz_arr  # deferred: norms builds on this module
 
         a, e = _pow2_scaled(z)
-        value = math.ldexp(float(_marcinkiewicz_arr(space.probs, a, rho._phi)), e)
-        # positive for z != 0 even where the gauge rounds below the least subnormal
-        return max(value, math.ulp(0.0)) if z.any() else 0.0
+        return _scale_back(float(_marcinkiewicz_arr(space.probs, a, rho._phi)), e)
     modular = _entropic_modular(rho, space.n_atoms)
     if modular is None:
         return None
-    return amemiya_multiplier(z, space.probs, modular, DEFAULT_TOL.gauge_rel)[1]
+    return amemiya_multiplier(z, space.probs, modular)[1]
 
 
 def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, *, seed: int = 0) -> tuple:
@@ -411,6 +396,9 @@ def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, 
     if not np.any(z > 0.0):
         return 0.0, 0.0, 0.0, 0, "zero"
     z = z / (m := float(z.max()))
+    # the value scales back as ldexp(mant * best, e): m * best wherever that
+    # is normal, and the least subnormal where it would round to 0
+    mant, e = math.frexp(m)
     ph = rho.positively_homogeneous
     floor = float(np.dot(space.probs, z))
     lines = [(0.0, 1.0)]  # xi = 0
@@ -440,13 +428,13 @@ def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, 
         k = int(np.argmin(model))
         beta, lower = float(cand[k]), min(float(model[k]), best)
         if best - lower <= 1e-13 * best < _INF:
-            return m * best_beta, m * best, m * lower, calls, "gap"
+            return m * best_beta, _scale_back(mant * best, e), m * lower, calls, "gap"
         if ends[-1] and ends[1]:
             (bl, gl), (br, gr) = ends[-1], ends[1]
             beta = bl - gl * (br - bl) / (gr - gl)
         elif beta <= dead:
             beta = 0.5 * (dead + best_beta) if best < _INF else 2.0 * dead
-    return m * best_beta, m * best, m * lower, calls, "budget"
+    return m * best_beta, _scale_back(mant * best, e), m * lower, calls, "budget"
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,7 +454,6 @@ def risk_dual_norm(
     y: Rv,
     *,
     seed: int = 0,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> RiskDualResult:
     """Dual norm of y against the risk norm of rho.
 
@@ -484,7 +471,7 @@ def risk_dual_norm(
     from .duality import polar  # deferred: duality builds on this module
     from .norms import RiskNorm
 
-    direct = polar(space, RiskNorm(rho), y, seed=seed, tol=tol)
+    direct = polar(space, RiskNorm(rho), y, seed=seed)
     gap = abs(value - direct.value)
     if gap > 1e-6 * max(1.0, abs(value)):
         raise ConvergenceError(
@@ -517,7 +504,6 @@ def check_risk_axioms(
     trials: int = 40,
     *,
     seed: int = 0,
-    slack: float = 1e-9,
 ) -> RiskAxiomReport:
     """Randomized verification of the risk-measure axioms on this space.
 
@@ -527,7 +513,7 @@ def check_risk_axioms(
     rng = np.random.default_rng(seed)
     n = space.n_atoms
     zero_gap = abs(_risk_arr(space, rho, np.zeros(n)))
-    items = [CheckItem("zero", zero_gap <= slack, zero_gap)]
+    items = [CheckItem("zero", zero_gap <= _AXIOM_SLACK, zero_gap)]
     worst = _WorstCase(0.0)
     for _ in range(trials):
         u = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
@@ -545,5 +531,5 @@ def check_risk_axioms(
         worst.bump("monotone", (ru - r_upper) / scale, u)
         worst.bump("convex", (r_mid - 0.5 * (ru + rv)) / scale, mid)
         worst.bump_chain("lebesgue", ra, vals[6:], chain, scale)
-    items += [worst.item(k, slack) for k in ("translation", "monotone", "convex", "lebesgue")]
+    items += [worst.item(k, _AXIOM_SLACK) for k in ("translation", "monotone", "convex", "lebesgue")]
     return RiskAxiomReport(tuple(items))

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "CheckItem",
-    "Tolerances",
-    "DEFAULT_TOL",
     "FiniteProbSpace",
     "Rv",
     "Partition",
@@ -28,22 +26,8 @@ __all__ = [
     "indicator",
 ]
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central numeric policy, overridable per call.
-
-    linear:    absolute tolerance for identities exact up to rounding
-    gauge_rel: relative bracket width at which gauge bisections stop
-    golden:    relative bracket width at which the Amemiya minimization stops
-    """
-
-    linear: float = 1e-12
-    gauge_rel: float = 1e-12
-    golden: float = 1e-9
-
-
-DEFAULT_TOL = Tolerances()
+# absolute tolerance of the probability sum and of the uniformity test
+_LINEAR = 1e-12
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -59,7 +43,6 @@ class FiniteProbSpace:
     """Atoms with strictly positive probabilities summing to one."""
 
     probs: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         probs = _frozen_array(self.probs, "probs")
@@ -71,20 +54,15 @@ class FiniteProbSpace:
         # null sets, and a zero atom would make quantile functions ambiguous.
         if np.any(probs <= 0.0):
             raise ValueError("all atom probabilities must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > DEFAULT_TOL.linear:
+        if abs(float(probs.sum()) - 1.0) > _LINEAR:
             raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
         object.__setattr__(self, "probs", probs)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
-            if len(labels) != probs.size:
-                raise ValueError("labels must match the number of atoms")
-            object.__setattr__(self, "labels", labels)
 
     @classmethod
-    def uniform(cls, n: int, labels: Sequence[str] | None = None) -> "FiniteProbSpace":
+    def uniform(cls, n: int) -> "FiniteProbSpace":
         if n < 1:
             raise ValueError("need at least one atom")
-        return cls(np.full(n, 1.0 / n), None if labels is None else tuple(labels))
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def n_atoms(self) -> int:
@@ -92,7 +70,7 @@ class FiniteProbSpace:
 
     @property
     def is_uniform(self) -> bool:
-        return bool(np.ptp(self.probs) <= DEFAULT_TOL.linear)
+        return bool(np.ptp(self.probs) <= _LINEAR)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FiniteProbSpace(n={self.n_atoms})"
@@ -219,6 +197,14 @@ def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     normal-range a a result scaled back by ldexp(., e) is unchanged."""
     e = math.frexp(float(a.max()))[1]
     return np.ldexp(a, -e), e
+
+
+def _scale_back(value: float, e: int) -> float:
+    """ldexp(value, e) for a value computed on an input scaled by 2**-e, as
+    ``_pow2_scaled`` scales: exact where the result is normal, and at least
+    the least subnormal for a positive value, so that a nonzero input never
+    reads 0 where its exact value rounds below the float grid."""
+    return max(math.ldexp(value, e), math.ulp(0.0)) if value > 0.0 else value
 
 
 def _shrinking_rows(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

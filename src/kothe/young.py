@@ -2,8 +2,8 @@
 
 A Young function is convex, nondecreasing on [0, inf) with value 0 at 0, not
 identically zero, and may take the value +inf.  The catalog kinds carry
-closed-form conjugates; tabulated functions fall back to a numeric supremum
-with a documented bracketing policy.  Extended-real conventions: 0 * inf = 0
+closed-form conjugates; the conjugate of a tabulated function is the exact
+maximum over its nodes.  Extended-real conventions: 0 * inf = 0
 in perspective-type expressions (handled by the callers that need it).
 """
 
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from ._optim import golden_max_interval
 
 __all__ = [
     "YoungFunction",
@@ -40,7 +38,8 @@ class YoungFunction:
     kinds: "power" (scale * x**p), "indicator" (0 on [0, bound], inf beyond),
     "exp" (e^x - 1), "entropy" (y log y - y + 1 on [1, inf), 0 below),
     "tabulated" (piecewise-linear interpolation, extended linearly beyond the
-    last node with its final slope), "conjugate" (numeric conjugate of base).
+    last node with its final slope), "conjugate" (conjugate of a tabulated
+    base).
     """
 
     kind: str
@@ -83,8 +82,11 @@ class YoungFunction:
                 out[beyond] = self.ys[-1] + self._tail_slope() * (x[beyond] - self.xs[-1])
             return out
         if self.kind == "conjugate":
-            assert self.base is not None
-            return np.asarray([_numeric_conjugate_value(self.base, xi) for xi in x])
+            # a piecewise-linear base attains sup_t (t x - base(t)) at a node,
+            # and beyond its final slope the supremand grows without bound
+            b = self.base
+            assert b is not None and b.xs is not None and b.ys is not None
+            return np.where(x > b.sup_slope, _INF, (x[..., None] * b.xs - b.ys).max(axis=-1))
         raise AssertionError(f"unknown kind {self.kind!r}")
 
     def _tail_slope(self) -> float:
@@ -125,6 +127,9 @@ class YoungFunction:
             return (self.kind, self.p, self.scale, self.bound)
         if self.kind in ("exp", "entropy"):
             return (self.kind,)
+        if self.kind == "conjugate":
+            assert self.base is not None
+            return (self.kind,) + self.base._signature()
         return (self.kind, id(self))
 
 
@@ -205,38 +210,9 @@ def conjugate(phi: YoungFunction) -> YoungFunction:
         return YoungFunction("entropy")
     if phi.kind == "entropy":
         return YoungFunction("exp")
+    if phi.kind == "conjugate":
+        return phi.base  # a tabulated base is convex and lower semicontinuous: Phi** = Phi
     return YoungFunction("conjugate", base=phi)
-
-
-def _numeric_conjugate_value(base: YoungFunction, y: float) -> float:
-    """sup_{x>=0} {x*y - base(x)} by outward bracketing plus golden refinement.
-
-    The bracket starts at 10x the last tabulated node (10.0 otherwise) and
-    doubles while the supremand still increases; persistent growth means the
-    conjugate is +inf at y.
-    """
-    if y < 0:
-        raise ValueError("conjugates are evaluated at y >= 0")
-
-    def g(x: float) -> float:
-        v = base.eval_array(np.asarray([x]))[0]
-        return x * y - v  # -inf where base is +inf
-
-    hi = 10.0 * float(base.xs[-1]) if base.xs is not None else 10.0
-    for _ in range(200):
-        if g(hi) <= max(g(hi / 2.0), 0.0):
-            break
-        hi *= 2.0
-    else:
-        return _INF
-
-    # the supremand is concave and 0 at x = 0, which the search includes
-    _, best = golden_max_interval(g, 0.0, hi, rel_xtol=1e-10)
-    # piecewise-linear bases attain the sup at a node; include them exactly
-    if base.xs is not None:
-        node_vals = base.xs * y - base.eval_array(base.xs)
-        best = max(best, float(node_vals.max()))
-    return best
 
 
 def check_delta2(phi: YoungFunction, x0: float, K: float) -> bool:

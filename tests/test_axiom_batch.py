@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import kothe.norms
 import kothe.risk
-from kothe import DEFAULT_TOL, FiniteProbSpace, avar, check_axioms, check_risk_axioms, custom_risk, entropic
+from kothe import FiniteProbSpace, avar, check_axioms, check_risk_axioms, custom_risk, entropic
 from kothe.norms import AxiomReport, CustomSeminorm
 from kothe.risk import _risk_arr, _risk_rows
 from kothe.space import CheckItem, _WorstCase
@@ -42,7 +42,7 @@ def _check_axioms_sequential(space, spec, trials, seed, slack=1e-8):
     n = space.n_atoms
 
     def p(x):
-        return spec._value_arr(space, x, DEFAULT_TOL)
+        return spec._value_arr(space, x)
 
     worst = _WorstCase(-math.inf)
     c_lower, c_upper = math.inf, 0.0
@@ -166,10 +166,10 @@ def _guard_rows(monkeypatch, cls, sizes):
     """Wrap cls._value_rows to record (n, rows) of every batch it gets."""
     inner = cls._value_rows
 
-    def wrapped(self, space, X, tol):
+    def wrapped(self, space, X):
         assert X.ndim == 2
         sizes.append((space.n_atoms, X.shape[0]))
-        return inner(self, space, X, tol)
+        return inner(self, space, X)
 
     monkeypatch.setattr(cls, "_value_rows", wrapped)
 
@@ -246,10 +246,10 @@ def test_value_rows_matches_value_arr(family, n, uniform, seed, scale):
     spec = BUILTIN_FAMILIES[family](n)
     # normal rows, a zero row, and integer rows whose ties the sorts must break
     X = np.vstack([rng.standard_normal((4, n)), np.zeros(n), np.round(2.0 * rng.standard_normal((4, n)))]) * scale
-    got = spec._value_rows(space, X, DEFAULT_TOL)
+    got = spec._value_rows(space, X)
     assert got.shape == (X.shape[0],)
     for row, value in zip(X, got):
-        want = spec._value_arr(space, row, DEFAULT_TOL)
+        want = spec._value_arr(space, row)
         assert abs(value - want) <= 1e-15 * abs(want), (row, value, want)
 
 
@@ -269,7 +269,7 @@ def test_risk_rows_matches_risk_arr(risk, n, uniform, seed):
 def test_builtin_row_evaluators_are_vectorized(monkeypatch):
     # Lp, Marcinkiewicz, Lorentz and the avar risk norm never fall back to a
     # loop over _value_arr; the rest do, so callbacks keep 1-D arrays
-    def refuse(self, space, x, tol):
+    def refuse(self, space, x):
         raise AssertionError(f"{type(self).__name__} looped over rows")
 
     X = np.random.default_rng(1).standard_normal((15, 8))
@@ -278,5 +278,5 @@ def test_builtin_row_evaluators_are_vectorized(monkeypatch):
         spec = BUILTIN_FAMILIES[family](8)
         with monkeypatch.context() as m:
             m.setattr(type(spec), "_value_arr", refuse)
-            spec._value_rows(space, X, DEFAULT_TOL)
+            spec._value_rows(space, X)
     assert kothe.norms.LuxemburgNorm._value_rows is kothe.norms.Seminorm._value_rows

@@ -27,7 +27,7 @@ from kothe import (
 )
 import kothe.duality
 import kothe.norms
-from kothe import DEFAULT_TOL, avar, check_axioms, custom_risk, entropic, gen_orlicz_dual_norm, risk_dual_norm, young_exponential
+from kothe import avar, check_axioms, custom_risk, entropic, gen_orlicz_dual_norm, risk_dual_norm, young_exponential
 from kothe.duality import _AmemiyaDualNorm, _PolarNorm, dual_spec_of
 from kothe.norms import (
     CustomSeminorm,
@@ -202,7 +202,7 @@ def test_builtin_specs_never_reach_the_axiom_checker(monkeypatch):
     for spec in (LpNorm(3), LorentzNorm(phi_sqrt())):
         assert verify_bipolar(nonuniform, spec, u).rel_gap <= 1e-9
     # Lorentz has a registered dual, so its numeric dual is built directly
-    numeric = _PolarNorm(LorentzNorm(phi_sqrt()), 0, DEFAULT_TOL)
+    numeric = _PolarNorm(LorentzNorm(phi_sqrt()), 0)
     assert numeric.axioms_by_construction
     assert polar(nonuniform, numeric, u).converged
 
@@ -292,7 +292,7 @@ def test_verify_bipolar_by_cuts_on_polar_witnesses(name, n, uniform, gate):
     space = FiniteProbSpace.uniform(n) if uniform else FiniteProbSpace(rng.dirichlet(np.ones(n)))
     u = Rv(rng.standard_normal(n))
     if inner is None:
-        res = polar(space, _PolarNorm(spec, 2, DEFAULT_TOL), u, seed=2)
+        res = polar(space, _PolarNorm(spec, 2), u, seed=2)
         assert abs(res.value - spec.value(space, u)) <= gate * spec.value(space, u)
         return
     assert dual_spec_of(space, spec) is None

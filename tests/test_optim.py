@@ -24,7 +24,6 @@ def test_newton_gauge_power_matches_closed_form(p, offset):
         lambda s: float(np.sum(coef * s**p)) - 1.0,
         lambda s: float(np.sum(coef * p * s ** (p - 1.0))),
         offset / exact,
-        1e-12,
     )
     assert beta == pytest.approx(exact, rel=1e-12)
 
@@ -41,7 +40,7 @@ def test_newton_gauge_entropic_solves_the_modular_equation(theta):
         e = probs * np.exp(w - w.max())
         return float(np.dot(e, a) / e.sum())
 
-    beta = newton_gauge(lambda s: _entropic_arr(probs, s * a, theta) - 1.0, slope, 1.0, 1e-12)
+    beta = newton_gauge(lambda s: _entropic_arr(probs, s * a, theta) - 1.0, slope, 1.0)
     assert evaluate_risk(space, entropic(theta), Rv(a / beta)) == pytest.approx(1.0, rel=1e-11)
 
 
@@ -83,14 +82,14 @@ def test_newton_gauge_reuses_the_bracket_value(monkeypatch):
     calls = []
     real = kothe._optim.newton_gauge
 
-    def counting(g, gprime, s0, rel_tol):
+    def counting(g, gprime, s0):
         calls.append(0)
 
         def counted(s):
             calls[-1] += 1
             return g(s)
 
-        return real(counted, gprime, s0, rel_tol)
+        return real(counted, gprime, s0)
 
     monkeypatch.setattr(kothe._optim, "newton_gauge", counting)
     rng = np.random.default_rng(23)

@@ -215,7 +215,7 @@ def test_marcinkiewicz_closed_form_dual_on_nonuniform_spaces(n):
 class _FirstCoordinate(Seminorm):
     """|x_0|: a polyhedral seminorm that vanishes on the other coordinates."""
 
-    def _value_arr(self, space, x, tol):
+    def _value_arr(self, space, x):
         return abs(float(x[0]))
 
     def linear_piece_arr(self, space, a):

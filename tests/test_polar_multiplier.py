@@ -35,7 +35,6 @@ from kothe import (
 )
 from kothe.duality import dual_spec_of
 from kothe.norms import LorentzNorm, LpNorm, LuxemburgNorm, MarcinkiewiczNorm, RiskNorm
-from kothe.space import DEFAULT_TOL
 
 FAMILIES = ("L1.5", "L3", "lux_x^2.3", "lux_exp", "lux_per_atom", "entropic")
 GATE = 1e-9
@@ -187,11 +186,11 @@ def test_upper_is_a_bound_under_rounding(name, n, uniform, weights, y, scale):
         "lorentz": lambda: LorentzNorm(phi_sqrt()),
     }.get(name, lambda: _spec(name, n))()
     yv = np.array(y[:n]) * scale
-    closed = spec.dual_value_arr(space, yv, DEFAULT_TOL)
+    closed = spec.dual_value_arr(space, yv)
     assume(closed is not None and closed > 0.0)  # Lorentz has none off uniform spaces
     res = polar(space, spec, Rv(yv))
     assert res.upper >= closed
-    # every gauge and the cutting planes stop within rel_tol = 1e-12; the
+    # every gauge and the cutting planes stop within _GAUGE_REL = 1e-12; the
     # exp gauge is a bisection that returns the upper end of its bracket
     assert res.upper - res.value <= 1.3e-12 * res.upper
 

@@ -232,6 +232,18 @@ def test_gauges_of_subnormal_y_do_not_underflow():
     assert penalty_gauge(FiniteProbSpace.uniform(2), avar(0.5), Rv(tiny)) == 5e-324
 
 
+def test_every_dual_route_keeps_the_subnormal_floor():
+    # the exact avar(1/2) dual of [0, 5e-324] on two equal atoms is 2**-1075,
+    # half the least subnormal: all four routes read 5e-324, none 0
+    space, rho, y = FiniteProbSpace.uniform(2), avar(0.5), Rv([0.0, 5e-324])
+    res = risk_dual_norm(space, rho, y)
+    assert polar(space, RiskNorm(rho), y).value == 5e-324
+    assert res.value == res.polar_value == 5e-324
+    assert dual_gauge_exact(space, rho, y.values) == penalty_gauge(space, rho, y) == 5e-324
+    # a certified lower end stays below the exact value, so it keeps the 0
+    assert res.lower == 0.0
+
+
 def _subset_oracle(probs: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Brute force over all 2^n - 1 nonempty atom sets A: E[z 1_A] and avar_t(1_A)."""
     n = probs.size

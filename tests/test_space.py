@@ -1,8 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kothe
+import kothe._optim
 from kothe import (
     FiniteProbSpace,
     Partition,
@@ -126,3 +130,26 @@ def test_immutability():
         UNIFORM4.probs[0] = 0.3
     with pytest.raises(ValueError):
         U4132.values[0] = 0.0
+
+
+def test_the_numeric_policy_has_no_knobs():
+    # the tolerances are module constants: nothing exported carries a
+    # Tolerances object or takes a tol, rel_tol or labels parameter
+    assert not hasattr(kothe, "Tolerances") and not hasattr(kothe, "DEFAULT_TOL")
+    exported = [getattr(kothe, name) for name in dir(kothe) if not name.startswith("_")]
+    fns = [obj for obj in exported if callable(obj)]
+    fns += [m for cls in fns if inspect.isclass(cls) for _, m in inspect.getmembers(cls, inspect.isroutine)]
+    checked = 0
+    for fn in fns:
+        try:
+            params = inspect.signature(fn).parameters
+        except (TypeError, ValueError):  # builtins without a signature
+            continue
+        checked += 1
+        assert not {"tol", "rel_tol", "labels"} & set(params), fn
+    assert checked > 100
+    # the gauge routines stop at _optim._GAUGE_REL
+    for name in kothe._optim.__all__:
+        fn = getattr(kothe._optim, name)
+        if inspect.isfunction(fn):
+            assert "rel_tol" not in inspect.signature(fn).parameters, name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kothe import (
+    LuxemburgNorm,
     MusielakFamily,
     check_delta2,
     conjugate,
@@ -106,6 +107,28 @@ def test_biconjugacy_tabulated():
     second = conjugate(conjugate(phi))
     for x in (0.2, 0.9, 1.7, 2.5):
         assert second(x) == pytest.approx(phi(x), abs=1e-7)
+
+
+def test_tabulated_conjugate_is_the_node_maximum():
+    # sup_x (x y - phi(x)) of a piecewise-linear phi sits at a node, exactly,
+    # and is +inf past the final slope 2.0; conjugating twice gives phi back
+    xs, fs = [0.0, 0.5, 1.0, 2.0], [0.0, 0.25, 1.0, 3.0]
+    phi = young_tabulated(xs, fs)
+    star = conjugate(phi)
+    ys = np.append(np.linspace(0.0, 2.0, 101), [2.0 + 1e-12, 7.0])
+    want = [max(x * y - f for x, f in zip(xs, fs)) if y <= 2.0 else math.inf for y in ys]
+    assert star.eval_array(ys).tolist() == want
+    assert conjugate(star) is phi
+
+
+def test_conjugate_of_an_atom_constant_family_stays_atom_constant():
+    fam = MusielakFamily.constant(young_tabulated([0.0, 0.5, 1.0, 2.0], [0.0, 0.25, 1.0, 3.0]), 5)
+    conj = fam.conjugate()
+    assert conj.is_constant
+    assert LuxemburgNorm(conj).rearrangement_invariant
+    # conjugates of different tabulated functions stay apart
+    other = young_tabulated([0.0, 1.0], [0.0, 1.0])
+    assert not MusielakFamily((fam.functions[0], other)).conjugate().is_constant
 
 
 def test_monotone_conjugation():
