@@ -20,8 +20,9 @@ applies:
 
 All but the last carry a certified upper bound and, but for the numeric
 dual of a seminorm whose unit ball is not a polytope, are exact.
-Closed-form duals, where registered, only provide certificates (the
-``gap`` field), never the returned value.
+``dual_spec_of`` is the one registry of closed-form duals.  They provide
+certificates (the ``gap`` field), the dual ball of ``verify_bipolar`` and
+``risk.dual_gauge_exact``, never the returned value.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from ._optim import (
     _GAUGE_REL,
     _ROUND_UP,
     MaximizeResult,
-    amemiya_multiplier,
     maximize_linear_on_ball,
     maximize_linear_on_modular_ball,
     maximize_linear_on_polytope,
@@ -50,6 +50,7 @@ from .norms import (
     MarcinkiewiczNorm,
     RiskNorm,
     Seminorm,
+    _AmemiyaDualNorm,
     _conjugate_exponent,
     check_axioms,
     gen_orlicz_dual_norm,
@@ -82,14 +83,15 @@ class PolarResult:
     """Value and witness of the polar supremum.
 
     The maximizer is feasible (seminorm at most 1 + 1e-9) and attains the
-    value.  gap is the shortfall against a registered closed form, and 0.0
-    both when the closed form confirms the value and when there is none, so
-    it alone does not tell a certified value from an uncertified one.  upper
-    does: it is a certified upper bound on the polar (the final cutting-plane
-    LP value for polyhedral unit balls and the numeric dual, the Amemiya
-    bound at the multiplier for modular balls, the Luxemburg gauge for the
-    Amemiya dual norm, the dual value of the last master for generalized
-    Orlicz norms).  It is None only on the uncertified line-search fallback.
+    value.  gap is the shortfall max(0, closed - value) against the closed
+    form of ``dual_spec_of``, checked for every family with a registered
+    dual, and 0.0 for the others, so it alone does not tell a certified
+    value from an uncertified one.  upper does: it is a certified upper
+    bound on the polar (the final cutting-plane LP value for polyhedral unit
+    balls and the numeric dual, the Amemiya bound at the multiplier for
+    modular balls, the Luxemburg gauge for the Amemiya dual norm, the dual
+    value of the last master for generalized Orlicz norms).  It is None only
+    on the uncertified line-search fallback.
     """
 
     value: float
@@ -197,8 +199,8 @@ def polar(
         if val > value + 1e-15:
             value, u_vals, method = val, np.sign(z) * arranged, "enumeration"
 
-    closed = spec.dual_value_arr(space, z)
-    gap = max(0.0, closed - value) if closed is not None else 0.0
+    dual = dual_spec_of(space, spec)
+    gap = max(0.0, dual._value_arr(space, z) - value) if dual is not None else 0.0
     upper = None if res.upper is None else max(math.ldexp(res.upper, e), value)
     return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
 
@@ -223,42 +225,6 @@ def _smooth_polar(space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn
     if modular is None:
         return None
     return maximize_linear_on_modular_ball(a, space.probs, modular, norm_fn)
-
-
-class _AmemiyaDualNorm(Seminorm):
-    """The dual norm of a seminorm whose unit ball is a modular set
-    {E Phi(|x|) <= 1}: a Luxemburg norm, or the entropic risk norm.  It is
-    the Amemiya (Orlicz) norm inf_b b * (1 + E Phi*(|x|/b)); its own polar is
-    that primal seminorm, and Young's equality supplies the witness."""
-
-    name = "amemiya-dual"
-    axioms_by_construction = True
-
-    def __init__(self, primal: LuxemburgNorm | RiskNorm):
-        self.primal = primal
-        self.rearrangement_invariant = primal.rearrangement_invariant
-
-    def _value_arr(self, space, x):
-        modular = self.primal.smooth_modular(space)
-        if modular is None:
-            # a Young family without a closed-form Phi': its golden route
-            return self.primal.dual_value_arr(space, x)
-        return amemiya_multiplier(np.abs(x), space.probs, modular)[1]
-
-    def polar_witness(self, space: FiniteProbSpace, a: np.ndarray) -> tuple[np.ndarray, float] | None:
-        """(w, lam) for a >= 0: lam is the primal norm of a, and
-        w = Phi'(a / lam) attains it, <p a, w> = lam * (this norm of w).
-
-        With v = a / lam, E Phi(v) = 1, and b = 1 in the Amemiya infimum at w
-        gives E Phi*(Phi'(v)) + 1 = E[v Phi'(v)], its minimum, so the ratio
-        is lam.  None when Phi' has no closed form here.
-        """
-        modular = self.primal.smooth_modular(space)
-        if modular is None:
-            return None
-        lam = self.primal._value_arr(space, a)
-        v = a / lam
-        return np.where(v > 0.0, modular.dphi(v), 0.0), lam
 
 
 class _PolarNorm(Seminorm):
@@ -288,10 +254,14 @@ class _PolarNorm(Seminorm):
 
 
 def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
-    """A seminorm object evaluating the closed-form polar of spec, if known.
+    """A seminorm object evaluating the closed-form polar of spec, if known;
+    the one registry of closed-form duals.
 
-    Lorentz and Marcinkiewicz norms are each other's duals on every space,
-    and avar(t) is the Lorentz norm of phi_t(s) = min(s, t) / t.  None for
+    Lorentz and Marcinkiewicz norms are each other's duals on every space
+    (in x = p * w the Marcinkiewicz ball is the polymatroid x(S) <= phi(P(S)),
+    and the Lorentz norm is the Lovasz extension of S -> phi(P(S))), and
+    avar(t) is the Lorentz norm of phi_t(s) = min(s, t) / t.  The modular
+    balls (Luxemburg, entropic) have the Amemiya norm as dual.  None for
     custom seminorms and risk measures, for the generalized Orlicz norms and
     for the entropic risk norm past theta = 500, which has no modular form.
     """

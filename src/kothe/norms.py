@@ -1,8 +1,9 @@
 """The seminorm families and their axioms checker.
 
 Each family is a small class with a shared interface: evaluation on a random
-variable, an optional closed-form dual, and for the polar optimizer analytic
-facets (polyhedral families) or per-atom Young functions (modular balls).
+variable, and for the polar optimizer analytic facets (polyhedral families)
+or per-atom Young functions (modular balls).  Only ``duality.dual_spec_of``
+maps a family to its closed-form dual.
 Free functions mirror the class API for the common cases.  The axiom checker is
 randomized and report-only; it never mutates the spec it inspects.
 """
@@ -175,10 +176,6 @@ class Seminorm(abc.ABC):
         """Evaluation on each row of X (see the class docstring)."""
         return np.array([self._value_arr(space, x) for x in X])
 
-    def dual_value_arr(self, space: FiniteProbSpace, z: np.ndarray) -> float | None:
-        """Closed-form dual norm when one is known and valid on this space."""
-        return None
-
     def linear_piece_arr(self, space: FiniteProbSpace, a: np.ndarray) -> np.ndarray | None:
         """The linear piece of a polyhedral seminorm that is active at a >= 0.
 
@@ -243,9 +240,6 @@ class LpNorm(Seminorm):
     def _value_rows(self, space, X):
         return _lp_arr(space.probs, X, self.p)
 
-    def dual_value_arr(self, space, z):
-        return float(_lp_arr(space.probs, z, _conjugate_exponent(self.p)))
-
     def linear_piece_arr(self, space, a):
         if self.p == 1.0:
             return space.probs
@@ -290,9 +284,6 @@ class LuxemburgNorm(Seminorm):
             lambda b: self.family.modular(space.probs, a / b) <= 1.0,
         )
 
-    def dual_value_arr(self, space, z):
-        return _amemiya_arr(space.probs, z, self.family)
-
     def smooth_modular(self, space):
         _check_family_size(self.family, space.n_atoms)
         return _smooth_modular(self.family)
@@ -336,11 +327,6 @@ class MarcinkiewiczNorm(Seminorm):
 
     def _value_rows(self, space, X):
         return _marcinkiewicz_arr(space.probs, X, self.phi)
-
-    def dual_value_arr(self, space, z):
-        # in x = p * w the unit ball is the polymatroid x(S) <= phi(P(S)),
-        # where the greedy vertex in |z| order maximizes: the Lorentz norm
-        return float(_lorentz_arr(space.probs, z, self.phi))
 
     def linear_piece_arr(self, space, a):
         # E[|x| 1_S] / phi(P(S)) <= the norm for every atom set S (the top
@@ -407,11 +393,6 @@ class LorentzNorm(Seminorm):
     def _value_rows(self, space, X):
         return _lorentz_arr(space.probs, X, self.phi)
 
-    def dual_value_arr(self, space, z):
-        # max over atom sets S of E[|z| 1_S] / phi(P(S)), the dual of the
-        # Lovasz extension below; phi is concave, so top-k sets of |z| attain it
-        return float(_marcinkiewicz_arr(space.probs, z, self.phi))
-
     def linear_piece_arr(self, space, a):
         # the norm is the Lovasz extension of the submodular S -> phi(P(S)),
         # so it is the largest of the greedy vectors, one per atom order
@@ -446,6 +427,54 @@ class RiskNorm(Seminorm):
 
     def smooth_modular(self, space):
         return _entropic_modular(self.rho, space.n_atoms)
+
+
+class _AmemiyaDualNorm(Seminorm):
+    """The dual norm of a seminorm whose unit ball is a modular set
+    {E Phi(|x|) <= 1}: a Luxemburg norm, or the entropic risk norm.  It is
+    the Amemiya (Orlicz) norm inf_b b * (1 + E Phi*(|x|/b)); its own polar is
+    that primal seminorm, and Young's equality supplies the witness."""
+
+    name = "amemiya-dual"
+    axioms_by_construction = True
+
+    def __init__(self, primal: LuxemburgNorm | RiskNorm):
+        self.primal = primal
+        self.rearrangement_invariant = primal.rearrangement_invariant
+
+    def _value_arr(self, space, x):
+        a = np.abs(x)
+        modular = self.primal.smooth_modular(space)
+        if modular is not None:
+            return amemiya_multiplier(a, space.probs, modular)[1]
+        # a Young family without a closed-form Phi': the infimum is convex
+        # and positively homogeneous in a, so golden section on a / max(a)
+        if not np.any(a > 0.0):
+            return 0.0
+        conj_family = self.primal.family.conjugate()
+        m = float(a.max())
+        a = a / m
+
+        def objective(beta: float) -> float:
+            return beta * conj_family.modular(space.probs, a / beta) + beta
+
+        _, value = minimize_scalar_convex(objective, x0=float(np.dot(space.probs, a)))
+        return m * value
+
+    def polar_witness(self, space: FiniteProbSpace, a: np.ndarray) -> tuple[np.ndarray, float] | None:
+        """(w, lam) for a >= 0: lam is the primal norm of a, and
+        w = Phi'(a / lam) attains it, <p a, w> = lam * (this norm of w).
+
+        With v = a / lam, E Phi(v) = 1, and b = 1 in the Amemiya infimum at w
+        gives E Phi*(Phi'(v)) + 1 = E[v Phi'(v)], its minimum, so the ratio
+        is lam.  None when Phi' has no closed form here.
+        """
+        modular = self.primal.smooth_modular(space)
+        if modular is None:
+            return None
+        lam = self.primal._value_arr(space, a)
+        v = a / lam
+        return np.where(v > 0.0, modular.dphi(v), 0.0), lam
 
 
 class GenOrliczNorm(Seminorm):
@@ -546,26 +575,6 @@ def luxemburg_norm(space: FiniteProbSpace, u: Rv, family: MusielakFamily) -> flo
     return LuxemburgNorm(family).value(space, u)
 
 
-def _amemiya_arr(probs: np.ndarray, z: np.ndarray, family: MusielakFamily) -> float:
-    """inf over beta of beta * (1 + E Phi*(|z|/beta)) for the family Phi."""
-    a = np.abs(z)
-    modular = _smooth_modular(family)
-    if modular is not None:
-        return amemiya_multiplier(a, probs, modular)[1]
-    if not np.any(a > 0.0):
-        return 0.0
-    conj_family = family.conjugate()
-    # the infimum is positively homogeneous in a: minimize on a / max(a)
-    m = float(a.max())
-    a = a / m
-
-    def objective(beta: float) -> float:
-        return beta * conj_family.modular(probs, a / beta) + beta
-
-    _, value = minimize_scalar_convex(objective, x0=float(np.dot(probs, a)))
-    return m * value
-
-
 def amemiya_dual_norm(space: FiniteProbSpace, y: Rv, family: MusielakFamily) -> float:
     """inf over beta of beta * E Phi*(|y|/beta) + beta.
 
@@ -576,8 +585,7 @@ def amemiya_dual_norm(space: FiniteProbSpace, y: Rv, family: MusielakFamily) -> 
     section.  The reported number is the infimal value, not a minimizer.
     """
     _check_on_space(space, y, "y")
-    _check_family_size(family, space.n_atoms)
-    return _amemiya_arr(space.probs, y.values, family)
+    return _AmemiyaDualNorm(LuxemburgNorm(family))._value_arr(space, y.values)
 
 
 def marcinkiewicz_norm(space: FiniteProbSpace, u: Rv, phi: PhiConcave) -> float:

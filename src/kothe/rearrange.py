@@ -129,13 +129,17 @@ def _tail_min(probs: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.nda
     The objective is convex and piecewise linear in s with kinks at the values
     of x.  Its slope t - P(x > s) is t - 1 <= 0 below min(x) and t > 0 above
     max(x), so a value of x attains the minimum.  At s = x_(k), the k-th value
-    in descending order, E[x - s]^+ equals top_k - s * mass_k: later atoms and
-    ties contribute zero.  One sort and two prefix sums give every candidate
-    exactly, in O(n log n) time and O(n) memory per row or level.
+    in descending order, E[x - s]^+ is the layer sum over j < k of
+    mass_j * (x_(j) - x_(j+1)), with mass_j the mass of the top j + 1 atoms.
+    Each layer, a difference of two products that cannot overflow, is >= 0
+    and exactly 0 on ties, so a constant x gives t * x and a single nonzero
+    atom p * x, each rounded once.  One sort and two prefix sums give every
+    candidate, in O(n log n) time and O(n) memory per row or level.
     """
-    _, s, mass, top = _sorted_prefix(probs, x)
-    # t*s added last: the bracket is exactly 0 when the top values all equal s
-    return (t * s + (top - s * mass)).min(axis=-1)
+    _, s, mass, _ = _sorted_prefix(probs, x)
+    f = t * s
+    f[..., 1:] += np.cumsum(mass[..., :-1] * s[..., :-1] - mass[..., :-1] * s[..., 1:], axis=-1)
+    return f.min(axis=-1)
 
 
 def cvar_infimum(space: FiniteProbSpace, u: Rv, t: float) -> float:

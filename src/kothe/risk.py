@@ -18,7 +18,6 @@ import numpy as np
 from ._optim import (
     ConvergenceError,
     SmoothModular,
-    amemiya_multiplier,
     bisect_gauge,
     newton_gauge,
 )
@@ -360,25 +359,22 @@ def penalty_gauge(
 def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray) -> float | None:
     """Fast exact dual-norm evaluator for the built-in risk measures.
 
-    avar(t) takes the Marcinkiewicz scan of phi_t on |z| * 2**-e, exactly
-    scaled so that p * |z| does not underflow.  The entropic norm ball is a
-    modular set (``_entropic_modular``), so its dual norm is the Amemiya norm
-    of that Phi, computed from one Lagrange multiplier by
-    ``amemiya_multiplier``.  None for a custom rho and for entropic theta >
-    500, which have no such form.  Used where the dual norm appears inside
-    another optimization; the penalty-based infimal form stays the reference
-    route in risk_dual_norm.
+    The registered dual of ``RiskNorm(rho)`` (``duality.dual_spec_of``): the
+    Marcinkiewicz norm of phi_t for avar(t), the Amemiya norm of the modular
+    ball for the entropic measure.  It runs on |z| * 2**-e, exactly scaled
+    so that p * |z| does not underflow.  None for a custom rho and for
+    entropic theta > 500, which have no registered dual.  Used where the
+    dual norm appears inside another optimization; the penalty-based
+    infimal form stays the reference route in risk_dual_norm.
     """
-    z = np.abs(z)
-    if rho.kind == "avar":
-        from .norms import _marcinkiewicz_arr  # deferred: norms builds on this module
+    from .duality import dual_spec_of  # deferred: duality and norms build on this module
+    from .norms import RiskNorm
 
-        a, e = _pow2_scaled(z)
-        return _scale_back(float(_marcinkiewicz_arr(space.probs, a, rho._phi)), e)
-    modular = _entropic_modular(rho, space.n_atoms)
-    if modular is None:
+    dual = dual_spec_of(space, RiskNorm(rho))
+    if dual is None:
         return None
-    return amemiya_multiplier(z, space.probs, modular)[1]
+    a, e = _pow2_scaled(np.abs(z))
+    return _scale_back(dual._value_arr(space, a), e)
 
 
 def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, *, seed: int = 0) -> tuple:

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kothe.cli import main
+from kothe.cli import _as_seminorm, load_scenario, main, parse_config
+from kothe.duality import dual_spec_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,6 +43,22 @@ def test_norm_zero_column(capsys):
     )
     assert code == 0
     assert out["norm"] == 0.0
+
+
+@pytest.mark.parametrize("scenario", sorted(FIXTURES.glob("scenario_*.csv")), ids=lambda p: p.stem)
+def test_dual_prints_the_registered_closed_form(capsys, scenario):
+    # every fixture config with a registered dual prints its closed form,
+    # which the exact polar meets to the nine printed decimals
+    space = load_scenario(scenario).space
+    checked = []
+    for cfg in sorted(FIXTURES.glob("*.cfg")):
+        if dual_spec_of(space, _as_seminorm(parse_config(cfg, space.n_atoms))) is None:
+            continue
+        code, out = run(capsys, "dual", "--scenario", scenario, "--config", cfg)
+        assert code == 0
+        assert out["closed_form"] == out["polar"], cfg.stem
+        checked.append(cfg.stem)
+    assert {"avar_half", "entropic_one", "lp2", "lorentz_sqrt"} <= set(checked)
 
 
 def test_dual_l2(capsys):

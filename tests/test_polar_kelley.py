@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kothe._optim
@@ -266,9 +266,15 @@ def test_lorentz_check_runs_bipolar_on_nonuniform_spaces(tmp_path):
     assert bipolar["passed"] and bipolar["worst"] <= 1e-12
 
 
+_ONE_ATOM_W = np.array([0.05, 0.55, 0.06, 0.52, 0.66, 0.86, 0.06])
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 @settings(max_examples=60, deadline=None)
 @given(case=polar_cases(max_n=10))
+# a single nonzero atom: a tail scan on x - max(x) put the avar polar 1.1e-14
+# above its closed form here, by cancelling t * max(x) against the tail
+@example(case=(FiniteProbSpace(_ONE_ATOM_W / _ONE_ATOM_W.sum()), np.eye(7)[2]))
 def test_every_polyhedral_family_has_a_registered_dual(name, case):
     # the Lorentz dual is the top-k ratio scan of the Marcinkiewicz norm on
     # every space, so each polyhedral polar is certified by a closed form
@@ -284,6 +290,9 @@ def test_every_polyhedral_family_has_a_registered_dual(name, case):
 
 @settings(max_examples=200, deadline=None)
 @given(case=polar_cases(max_n=10), t=st.sampled_from([0.01, 0.1, 0.35, 0.5, 0.9, 1.0]))
+# a constant on thirds: the tail scan read 5.353515999999911 while it formed
+# E[u - s]^+ as the prefix sum of p * u less s times the prefix sum of p
+@example(case=(FiniteProbSpace.uniform(3), np.array([5.353516] * 3)), t=0.01)
 def test_avar_and_l1_are_lorentz_norms(case, t):
     space, y = case
     u = Rv(y)

@@ -186,8 +186,8 @@ def test_upper_is_a_bound_under_rounding(name, n, uniform, weights, y, scale):
         "lorentz": lambda: LorentzNorm(phi_sqrt()),
     }.get(name, lambda: _spec(name, n))()
     yv = np.array(y[:n]) * scale
-    closed = spec.dual_value_arr(space, yv)
-    assume(closed is not None and closed > 0.0)  # Lorentz has none off uniform spaces
+    closed = dual_spec_of(space, spec)._value_arr(space, yv)
+    assume(closed > 0.0)
     res = polar(space, spec, Rv(yv))
     assert res.upper >= closed
     # every gauge and the cutting planes stop within _GAUGE_REL = 1e-12; the

@@ -457,12 +457,15 @@ def test_entropic_risk_dual_regression():
     values=st.lists(st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0)), min_size=12, max_size=12),
 )
 # subnormal y: p * |y| underflowed in the avar dual gauge (Dirichlet masses)
-# and made polar raise (uniform masses).  Subnormal entropic cases fail the
-# lower probe below instead, a limit of the probe: g * (1 - 2e-12) rounds
-# back to g near the least subnormal, and a subnormal gauge near 1e-316
-# carries only about 8 digits
+# and made polar raise (uniform masses).  The last four are where 1e-12 is
+# finer than the float grid: a bracket one grid step wide, a lower probe that
+# has no float below g = 5e-324, and a gauge near 1e-316 with about 8 digits
 @example(rho=avar(1.0), n=2, masses=0, values=[0.0, 5e-324] + [0.0] * 10)
 @example(rho=avar(1.0), n=2, masses=None, values=[0.0, 5e-324] + [0.0] * 10)
+@example(rho=avar(0.5), n=2, masses=None, values=[0.0, 5e-324] + [0.0] * 10)
+@example(rho=entropic(1.0), n=1, masses=None, values=[5e-324] + [0.0] * 11)
+@example(rho=entropic(1.0), n=2, masses=None, values=[0.0, 5e-324] + [0.0] * 10)
+@example(rho=entropic(1.0), n=2, masses=None, values=[0.0, 1e-315] + [0.0] * 10)
 def test_risk_dual_brackets_hold_the_exact_gauge(rho, n, masses, values):
     # uniform or Dirichlet masses; integer values give ties and zero atoms
     probs = np.random.default_rng(masses).dirichlet(np.ones(n)) if masses is not None else np.full(n, 1.0 / n)
@@ -474,11 +477,12 @@ def test_risk_dual_brackets_hold_the_exact_gauge(rho, n, masses, values):
     exact = dual_gauge_exact(space, rho, z)
     res = risk_dual_norm(space, rho, y)
     # the bracket [lower, value] of the infimal form holds the exact gauge
-    # to rounding, and is at most 1e-12 wide; avar(t) of a witness carries
-    # a relative rounding of about 1e-16 / t (at t = 0.01, 1.0e-14 was seen)
+    # to rounding, and is at most 1e-12 wide, or one grid step below the
+    # normal range; avar(t) of a witness carries a relative rounding of
+    # about 1e-16 / t (at t = 0.01, 1.0e-14 was seen)
     assert res.stop == "gap"
     assert res.lower * (1.0 - 1e-13) <= exact <= res.value * (1.0 + 1e-13)
-    assert res.value - res.lower <= 1e-12 * res.value
+    assert res.value - res.lower <= max(1e-12 * res.value, math.ulp(res.value))
     assert res.value == pytest.approx(exact, rel=1e-12)
     g = penalty_gauge(space, rho, y)
     if rho.kind == "avar":
@@ -487,9 +491,14 @@ def test_risk_dual_brackets_hold_the_exact_gauge(rho, n, masses, values):
     else:
         # [g, g (1 + 1e-12)] holds the gauge; below g the penalty exceeds 1
         # (2e-12 clears the 1e-12 by which E[|y|/beta] may exceed 1 before
-        # the entropic penalty counts as unbounded)
-        assert penalty(space, rho, Rv(z / (g * (1.0 + 1e-12)))).value <= 1.0
-        assert penalty(space, rho, Rv(z / (g * (1.0 - 2e-12)))).value > 1.0
+        # the entropic penalty counts as unbounded).  Where 1e-12 is finer
+        # than the float grid, each probe sits one grid step from g, and
+        # the lower one is skipped when no positive float lies below g
+        above = max(g * (1.0 + 1e-12), math.nextafter(g, math.inf))
+        below = min(g * (1.0 - 2e-12), math.nextafter(g, 0.0))
+        assert penalty(space, rho, Rv(z / above)).value <= 1.0
+        if below > 0.0:
+            assert penalty(space, rho, Rv(z / below)).value > 1.0
         assert g - 1e-12 * g <= res.value <= 2.0 * g + 1e-12 * g
 
 
