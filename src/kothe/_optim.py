@@ -244,6 +244,8 @@ class MaximizeResult:
     value: float
     x: np.ndarray
     converged: bool
+    # oracle calls; on the cutting planes these are facets, whose values
+    # scale the points onto the ball, so a facet's tightness places x
     n_evals: int
     upper: float | None = None  # a certified bound on the maximum, when one is known
 
@@ -574,23 +576,23 @@ def _lp_point(tab: np.ndarray, basis: np.ndarray, f: np.ndarray, a: np.ndarray) 
 
 def maximize_linear_on_polytope(
     c: np.ndarray,
-    norm_fn: Callable[[np.ndarray], float],
     facet_fn: Callable[[np.ndarray], np.ndarray | None],
     *,
     monotone: bool,
     starts: Sequence[np.ndarray],
 ) -> MaximizeResult | None:
-    """Maximize <c, w> over {w in cone : norm_fn(w) <= 1} for a polyhedral ball.
+    """Maximize <c, w> over {w in cone : rho(w) <= 1} for a polyhedral ball.
 
-    facet_fn(a) returns, for a >= 0, a vector g >= 0 with g.a = norm_fn(a)
-    and g.x <= norm_fn(x) for every x >= 0, or None when the seminorm has
-    no such pieces (then this returns None).  Kelley's cutting-plane method
-    (1960) maximizes over {w : g.w <= 1 for the cuts so far}, a relaxation
-    of the ball, so each LP value bounds the maximum from above; the LP
-    point w scaled to w / norm_fn(w) is feasible and bounds it from below;
-    and the facet at w cuts w off until the two meet.  When the g come from
-    a finite set this stops at the exact optimum; otherwise the bounds
-    converge, and the width at the stop is reported.
+    facet_fn(a) returns, for a >= 0, a vector g >= 0 with g.a = rho(a) and
+    g.x <= rho(x) for every x >= 0, or None when the seminorm has no such
+    pieces (then this returns None).  Kelley's cutting-plane method (1960)
+    maximizes over {w : g.w <= 1 for the cuts so far}, a relaxation of the
+    ball, so each LP value bounds the maximum from above.  The facet g at
+    the LP point w, the one oracle call per point, gives rho(w) = g.w: the
+    point w / g.w bounds the maximum from below, it is as feasible as g is
+    tight, and g cuts w off unless g.w <= 1, until the two bounds meet.
+    When the g come from a finite set this stops at the exact optimum;
+    otherwise the bounds converge, and the width at the stop is reported.
 
     c >= 0.  cone is the nonnegative orthant, or with ``monotone`` the
     nonincreasing cone, written as w_i = sum_{j >= i} d_j over increments
@@ -603,24 +605,17 @@ def maximize_linear_on_polytope(
     _KELLEY_GAP of the best value; after _KELLEY_ITERS cuts, when a simplex
     solve runs out of pivots, or when rounding leaves a gap that no cut
     closes, the result says converged=False.  Its bound stays certified.
-    n_evals counts seminorm and facet evaluations.
+    n_evals counts facet_fn calls, one per start and one per LP point.
     """
     n = c.size
     scale = float(c.max())
     f = c / scale
-    if monotone:
-        f = np.cumsum(f)
-
-    def cut(w: np.ndarray) -> np.ndarray | None:
-        g = facet_fn(w)
-        if g is None or not monotone:
-            return g
-        return np.cumsum(g)
-
-    first = cut(starts[0])
+    first = facet_fn(starts[0])
     if first is None:
         return None
-    a = np.array([first] + [cut(w) for w in starts[1:]])
+    a = np.array([first] + [facet_fn(w) for w in starts[1:]])
+    if monotone:
+        f, a = np.cumsum(f), np.cumsum(a, axis=1)
     tab, basis = _tableau(f, a)
     optimal = _primal_simplex(tab, basis)
     evals = len(starts)
@@ -631,8 +626,9 @@ def maximize_linear_on_polytope(
         d, bound = _lp_point(tab, basis, f, a)
         upper = min(upper, bound)
         w = np.cumsum(d[::-1])[::-1] if monotone else d
-        nrm = norm_fn(w)
+        g = np.cumsum(facet_fn(w)) if monotone else facet_fn(w)
         evals += 1
+        nrm = float(np.dot(g, d))  # rho(w), from the facet at w
         if nrm <= 0.0:
             raise ValueError(_VANISHING)
         x = w / nrm
@@ -644,9 +640,7 @@ def maximize_linear_on_polytope(
             break
         if not optimal:
             break  # the pivots ran out short of the LP optimum: stop, do not cut
-        g = cut(w)
-        evals += 1
-        if float(np.dot(g, d)) <= 1.0 + 1e-12:
+        if nrm <= 1.0 + 1e-12:
             # no cut separates the LP point, so only rounding in the tableau
             # keeps the bound loose: solve afresh once, then give up
             if fresh:
@@ -788,8 +782,9 @@ def maximize_linear_on_modular_ball(
 class GenOrliczDualResult:
     """value <= sum form <= value_upper and max_form <= max form <=
     max_form_upper; x attains value, v is the dual density of the upper
-    ends; n_evals counts evaluations of r and n_cuts its cuts; stop is "gap",
-    "no-cut" (the master's rounding floor), "budget" or "zero"."""
+    ends; n_evals counts cut calls at master points, whose g.u gives r there
+    (so the cut's tightness places x), n_cuts the start cuts plus the cuts
+    added; stop is "gap", "no-cut" (the master's floor), "budget" or "zero"."""
 
     value: float
     value_upper: float
@@ -855,7 +850,7 @@ def _cut_master(a, cuts, lam, c, modular: SmoothModular) -> tuple[np.ndarray, fl
     return lam, value
 
 
-def gen_orlicz_dual_brackets(z, probs, modular: SmoothModular, r_fn, cut_fn) -> GenOrliczDualResult | None:
+def gen_orlicz_dual_brackets(z, probs, modular: SmoothModular, cut_fn) -> GenOrliczDualResult | None:
     """Both forms of the generalized Orlicz dual at z >= 0, bracketed.
 
     With a = probs * z and P(c) = sup{a.x : x >= 0, r(Phi(x)) <= c}, the sum
@@ -864,9 +859,11 @@ def gen_orlicz_dual_brackets(z, probs, modular: SmoothModular, r_fn, cut_fn) -> 
     this returns None) relax the ball.  Any master multiplier lam bounds P(c)
     by D(lam) and the max form by max(sum(lam), D(lam) - c sum(lam)) (Young);
     the master point scaled onto the ball in u = Phi(x), and a.x / (1 +
-    r(Phi(x))), give the lower ends.  Polyhedral r has finitely many cuts, so
-    the loop stops at the optimum.  The max form sits where sum(lam) = D(lam)
-    - c sum(lam); secant steps in log c find it, every solve keeping the cuts.
+    r(Phi(x))), give the lower ends, where r(u) = g.u for the cut g at u: r
+    is never called, and the lower ends are as exact as g is tight.
+    Polyhedral r has finitely many cuts, so the loop stops at the optimum.
+    The max form sits where sum(lam) = D(lam) - c sum(lam); secant steps in
+    log c find it, every solve keeping the cuts.
     """
     n = z.size
     scale = float(z.max())
@@ -887,17 +884,17 @@ def gen_orlicz_dual_brackets(z, probs, modular: SmoothModular, r_fn, cut_fn) -> 
             lam, dual = _cut_master(a, cuts, lam, c, modular)
             x = modular.dphi_inv(np.divide(a, lam @ cuts, out=np.zeros(n), where=a > 0.0))
             u = modular.phi(x)
-            rho = r_fn(u)
+            g = cut_fn(u)
+            rho = float(g @ u)  # r(u), from the cut at u
+            n_evals += 1
             feasible = modular.phi_inv(u * (c / rho)) if rho > c else x
             lower = float(a @ feasible)
-            n_evals += 1
             if dual * _ROUND_UP - lower <= _KELLEY_GAP * dual:
                 return "gap", x, rho, feasible, lower, dual
-            g = cut_fn(u)
-            n_cuts += 1
-            if float(g @ u) <= c * (1.0 + 1e-13):
+            if rho <= c * (1.0 + 1e-13):
                 return "no-cut", x, rho, feasible, lower, dual
             cuts, lam = np.vstack([cuts, g]), np.append(lam, 0.0)
+            n_cuts += 1
         return "budget", x, rho, feasible, lower, dual
 
     stop, x, rho, witness, lower, dual = solve(1.0)

@@ -506,7 +506,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--column", help="value column name (default: first)")
         p.add_argument("--random", type=int, metavar="N", help="use a random N-atom scenario")
         p.add_argument("--seed", type=int, help="seed for anything randomized")
-        p.add_argument("--tol", type=float, help="override the check slack")
         if config:
             p.add_argument("--config", required=True, help="key=value spec file")
 
@@ -514,7 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("dual", help="polar value with closed-form certificate"), config=True)
     common(sub.add_parser("rearrange", help="decreasing rearrangement of a column"), config=False)
     common(sub.add_parser("risk", help="risk, risk norm, dual norm and penalty report"), config=True)
-    common(sub.add_parser("check", help="axiom and duality self checks"), config=True)
+    check = sub.add_parser("check", help="axiom and duality self checks")
+    common(check, config=True)
+    check.add_argument("--tol", type=float, help="override the holder, bipolar and sandwich slacks")
     return parser
 
 

@@ -156,9 +156,6 @@ def polar(
     def norm_fn(w: np.ndarray) -> float:
         return spec._value_arr(space, w)
 
-    def facet_fn(w: np.ndarray) -> np.ndarray | None:
-        return spec.linear_piece_arr(space, w)
-
     comonotone = spec.rearrangement_invariant and space.is_uniform
     order = np.argsort(-np.abs(z), kind="stable")
     # the comonotone search runs on |y| sorted down, the general one in atom order
@@ -174,7 +171,7 @@ def polar(
         # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
         rank = np.argsort(order)
         starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
-    res = maximize_linear_on_polytope(c, norm_fn, facet_fn, monotone=comonotone, starts=starts)
+    res = maximize_linear_on_polytope(c, lambda w: spec.linear_piece_arr(space, w), monotone=comonotone, starts=starts)
     if res is None:
         res = _smooth_polar(space, spec, a, norm_fn)
         if res is not None:
@@ -322,8 +319,6 @@ def verify_bipolar(
     res = polar(space, dual, u, seed=seed)
     primal = spec.value(space, u)
     rel_gap = abs(res.value - primal) / max(abs(primal), 1e-30)
-    if primal == 0.0 and res.value == 0.0:
-        rel_gap = 0.0
     return BipolarReport(primal, res.value, rel_gap, res.converged)
 
 

@@ -184,7 +184,9 @@ class Seminorm(abc.ABC):
         solves these families by cutting planes, exactly when the pieces
         come from a finite set (the numeric dual of ``verify_bipolar``
         returns witnesses of inner polars, finitely many only for polyhedral
-        primals).  None for the other families.
+        primals).  The cutting planes and the generalized Orlicz dual take
+        g.a as the seminorm at a, so g's tightness places their reported
+        points.  None for the other families.
         """
         return None
 
@@ -347,7 +349,8 @@ def _marcinkiewicz_ratios(
     breakpoint T_j of its rearrangement the running integral over phi(T_j),
     with the weights phi(T_j).  Ties are left unmerged: the running
     integral at the extra breakpoints lies on the same affine pieces."""
-    order, _, bp, integrals = _sorted_prefix(probs, np.abs(x))
+    order, levels, ps, bp = _sorted_prefix(probs, np.abs(x))
+    integrals = np.cumsum(ps * levels, axis=-1)
     bp[..., -1] = 1.0  # the running mass ends at 1, up to rounding
     weights = phi._eval(bp)
     if (weights <= 0.0).any():
@@ -365,7 +368,7 @@ def _lorentz_increments(
     """Along the last axis: the stable descending order of |x|, its levels,
     and the phi increments phi(T_j) - phi(T_{j-1}) at the running masses
     T_j along it (phi(0) = 0)."""
-    order, levels, bp, _ = _sorted_prefix(probs, np.abs(x))
+    order, levels, _, bp = _sorted_prefix(probs, np.abs(x))
     bp[..., -1] = 1.0  # the running mass ends at 1, up to rounding
     inc = phi._eval(bp)
     inc[..., 1:] -= inc[..., :-1].copy()  # np.diff, with phi(0) = 0 before the first
@@ -520,21 +523,19 @@ class GenOrliczNorm(Seminorm):
         modular = _smooth_modular(MusielakFamily.constant(self.phi, space.n_atoms))
         ball = self.inner.smooth_modular(space)
 
-        def inner(u: np.ndarray) -> float:
-            return self.inner._value_arr(space, u)
-
         def cut(u: np.ndarray) -> np.ndarray | None:
             g = self.inner.linear_piece_arr(space, u)
             if g is not None or ball is None:
                 return g
-            # the normal of the modular ball {E Phi_r(w) <= 1} at w = u / r(u)
-            w = u / inner(u)
+            # the normal of the modular ball {E Phi_r(w) <= 1} at w = u / r(u),
+            # scaled so that g.u = r(u)
+            w = u / self.inner._value_arr(space, u)
             g = space.probs * ball.dphi(w)
             return g / float(g @ w)
 
         if modular is None:
             return None
-        return gen_orlicz_dual_brackets(z, space.probs, modular, inner, cut)
+        return gen_orlicz_dual_brackets(z, space.probs, modular, cut)
 
 
 class CustomSeminorm(Seminorm):

@@ -114,11 +114,11 @@ def _sorted_prefix(
     probs: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stable descending order of x along its last axis, the sorted values,
-    and the prefix sums of p and of p*x along it."""
+    the masses p in that order and their prefix sums."""
     order = np.argsort(-x, axis=-1, kind="stable")
     levels = x[order] if x.ndim == 1 else np.take_along_axis(x, order, axis=-1)
     ps = probs[order]
-    return order, levels, np.cumsum(ps, axis=-1), np.cumsum(ps * levels, axis=-1)
+    return order, levels, ps, np.cumsum(ps, axis=-1)
 
 
 def _tail_min(probs: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -134,12 +134,15 @@ def _tail_min(probs: np.ndarray, x: np.ndarray, t: float | np.ndarray) -> np.nda
     Each layer, a difference of two products that cannot overflow, is >= 0
     and exactly 0 on ties, so a constant x gives t * x and a single nonzero
     atom p * x, each rounded once.  One sort and two prefix sums give every
-    candidate, in O(n log n) time and O(n) memory per row or level.
+    candidate, in O(n log n) time and O(n) memory per row or level.  The
+    layer sum can reach 2 max|x|, so x above 2**1021 is scanned at x / 4.
     """
-    _, s, mass, _ = _sorted_prefix(probs, x)
+    _, s, _, mass = _sorted_prefix(probs, x)
+    k = 4.0 if max(s[..., 0].max(), -s[..., -1].min()) > 2.0**1021 else 1.0
+    s = s / k  # exact, as is the scale-back
     f = t * s
     f[..., 1:] += np.cumsum(mass[..., :-1] * s[..., :-1] - mass[..., :-1] * s[..., 1:], axis=-1)
-    return f.min(axis=-1)
+    return f.min(axis=-1) * k
 
 
 def cvar_infimum(space: FiniteProbSpace, u: Rv, t: float) -> float:

@@ -258,7 +258,8 @@ def penalty(
     n = space.n_atoms
     threshold = 1e-11 * max(scale, 1.0)
     if rho.kind == "avar":
-        order, _, mass, sums = _sorted_prefix(space.probs, z)
+        order, levels, ps, mass = _sorted_prefix(space.probs, z)
+        sums = np.cumsum(ps * levels)
         viol = sums - np.minimum(mass, rho.level) / rho.level
         k = int(np.argmax(viol))
         xi = np.zeros(n)

@@ -205,6 +205,32 @@ def test_check_lp2_on_larger_random_scenario(capsys):
     assert out["all_pass"] is True
 
 
+def test_tol_sets_the_check_slacks(capsys):
+    args = ("check", "--random", 8, "--seed", 7, "--config", FIXTURES / "luxemburg_power2.cfg")
+    code, out = run(capsys, *args)
+    assert code == 0 and out["all_pass"] is True
+    # a negative slack fails every gated item whose worst case is above it;
+    # the bipolar gap is never negative
+    code, out = run(capsys, *args, "--tol", -1)
+    assert code == 1
+    gated = {c["name"]: c for c in out["checks"] if c["name"] in ("holder", "bipolar", "sandwich")}
+    assert set(gated) == {"holder", "bipolar", "sandwich"}
+    assert all(c["passed"] == (c["worst"] <= -1.0) for c in gated.values())
+    assert not gated["bipolar"]["passed"]
+    assert all(c["passed"] for c in out["checks"] if c["name"] not in gated)
+
+
+@pytest.mark.parametrize("command", ["norm", "dual", "rearrange", "risk"])
+def test_tol_is_refused_where_nothing_reads_it(capsys, command):
+    args = [command, "--scenario", str(FIXTURES / "scenario_4132.csv"), "--tol", "1"]
+    if command != "rearrange":
+        args += ["--config", str(FIXTURES / "lp2.cfg")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 def test_check_fails_on_broken_spec(capsys):
     code, out = run(
         capsys,

@@ -35,7 +35,7 @@ from kothe import (
     verify_bipolar,
 )
 from kothe.cli import main
-from kothe.duality import dual_spec_of
+from kothe.duality import _PolarNorm, dual_spec_of
 from kothe.norms import CustomSeminorm, LorentzNorm, LpNorm, MarcinkiewiczNorm, RiskNorm, Seminorm
 
 FAMILIES = ("L1", "Linf", "marcinkiewicz", "lorentz", "avar", "avar_dual")
@@ -299,6 +299,75 @@ def test_avar_and_l1_are_lorentz_norms(case, t):
     phi_t = phi_tabulated([0.0, t, 1.0], [0.0, 1.0, 1.0]) if t < 1.0 else phi_identity()
     assert RiskNorm(avar(t)).value(space, u) == pytest.approx(LorentzNorm(phi_t).value(space, u), rel=1e-14, abs=0.0)
     assert LpNorm(1.0).value(space, u) == pytest.approx(LorentzNorm(phi_identity()).value(space, u), rel=1e-14, abs=0.0)
+
+
+def test_kelley_never_evaluates_the_seminorm():
+    # the facet at each LP point also gives the norm there (g.w), so the
+    # cutting planes call linear_piece_arr once per point and _value_arr never
+    spec = LorentzNorm(phi_sqrt())
+    calls = {"facets": 0}
+    facet = spec.linear_piece_arr
+
+    def counting(space, a):
+        calls["facets"] += 1
+        return facet(space, a)
+
+    def refuse(space, x):
+        raise AssertionError("the cutting planes evaluated the seminorm")
+
+    spec.linear_piece_arr, spec._value_arr = counting, refuse
+    rng = np.random.default_rng(8)
+    space = FiniteProbSpace(rng.dirichlet(np.ones(8)))
+    y = Rv(rng.standard_normal(8))
+    res = polar(space, spec, y)
+    assert res.converged and res.upper is not None
+    closed = MarcinkiewiczNorm(phi_sqrt()).value(space, y)
+    assert abs(res.value - closed) <= 1e-12 * closed
+    assert calls["facets"] >= 2 * 8  # the starts, then one per LP point
+
+
+_PHI_TAB = phi_tabulated([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
+_FACET_FAMILIES = {
+    "L1": lambda space: LpNorm(1.0),
+    "Linf": lambda space: LpNorm(math.inf),
+    "marcinkiewicz_sqrt": lambda space: MarcinkiewiczNorm(phi_sqrt()),
+    "marcinkiewicz_tabulated": lambda space: MarcinkiewiczNorm(_PHI_TAB),
+    "lorentz_sqrt": lambda space: LorentzNorm(phi_sqrt()),
+    "lorentz_tabulated": lambda space: LorentzNorm(_PHI_TAB),
+    "avar": lambda space: RiskNorm(avar(T)),
+    "avar_dual": lambda space: dual_spec_of(space, RiskNorm(avar(T))),
+    "numeric_dual_l1": lambda space: _PolarNorm(LpNorm(1.0), 0),
+}
+
+
+@st.composite
+def facet_cases(draw):
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    space = FiniteProbSpace.uniform(n) if draw(st.booleans()) else FiniteProbSpace(rng.dirichlet(np.ones(n)))
+    if draw(st.booleans()):
+        a = rng.integers(0, 4, size=n).astype(float)  # ties and zeros
+    else:
+        a = rng.exponential(size=n) * (rng.random(n) < 0.8)
+    scale = draw(st.sampled_from([1e-5, 1.0, 1e5]))
+    return space, a * scale, np.abs(rng.standard_normal((8, n))) * scale
+
+
+@pytest.mark.parametrize("name", list(_FACET_FAMILIES))
+@settings(max_examples=60, deadline=None)
+@given(case=facet_cases())
+def test_facets_are_tight_and_valid(name, case):
+    # the cutting planes read the seminorm at a as g.a, so the facet must be
+    # tight to rounding, and below the seminorm on the whole orthant
+    space, a, probes = case
+    spec = _FACET_FAMILIES[name](space)
+    g = spec.linear_piece_arr(space, a)
+    assert np.all(g >= 0.0)
+    rho = spec._value_arr(space, a)
+    assert abs(float(g @ a) - rho) <= 1e-14 * rho
+    for x in probes:
+        assert float(g @ x) <= spec._value_arr(space, x) * (1.0 + 1e-14)
 
 
 def test_pivot_cap_scales_with_the_tableau():

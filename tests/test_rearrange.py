@@ -82,6 +82,16 @@ def test_cvar_examples():
         cvar_infimum(UNIFORM4, U4132, 0.0)
 
 
+def test_tail_scan_does_not_overflow_at_the_top_of_the_float_range():
+    # the layer 0.99 * (x_(0) - x_(1)) is 3.4e308 here, past the float
+    # maximum; the scan runs on x / 4 and scales the minimum back exactly
+    space = FiniteProbSpace([0.99, 0.01])
+    x = Rv([1.7e308, -1.7e308])
+    assert evaluate_risk(space, avar(1.0), x) == pytest.approx(0.99 * 1.7e308 - 0.01 * 1.7e308, rel=1e-15)
+    for t in (0.005, 0.3, 0.99, 1.0):
+        assert evaluate_risk(space, avar(t), x) == 4.0 * evaluate_risk(space, avar(t), Rv(x.values / 4.0))
+
+
 def test_cvar_identity_randomized():
     rng = np.random.default_rng(22)
     grid = np.linspace(0.05, 1.0, 11)
