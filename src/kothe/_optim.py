@@ -57,15 +57,16 @@ class ConvergenceError(RuntimeError):
     """An iterative routine exhausted its budget without meeting tolerance."""
 
 
-def bisect_gauge(pred: Callable[[float], bool], *, hi0: float = 1.0) -> float:
+def bisect_gauge(pred: Callable[[float], bool]) -> float:
     """inf{b > 0 : pred(b)} for pred that is monotone (False below, True above).
 
-    Returns the upper end of the final bracket, _GAUGE_REL relative wide, at
-    which pred holds, so a point scaled by the result is feasible; 0.0 when
-    pred holds arbitrarily close to zero and +inf when it never holds within
-    the expansion budget.
+    Expands from 1, so it is meant for a gauge evaluated on a / max(a) by
+    _scaled_gauge.  Returns the upper end of the final bracket, _GAUGE_REL
+    relative wide, at which pred holds, so a point scaled by the result is
+    feasible; 0.0 when pred holds arbitrarily close to zero and +inf when it
+    never holds within the expansion budget.
     """
-    hi = max(hi0, 1e-300)
+    hi = 1.0
     for _ in range(_MAX_EXPAND):
         if pred(hi):
             break
@@ -127,26 +128,33 @@ def newton_gauge(g: Callable[[float], float], gprime: Callable[[float], float], 
     return 1.0 / s
 
 
-def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray) -> float:
-    """Solve sum(coef * (a/beta)**k) = 1 for beta, with a >= 0 not all zero
-    and k >= 1.
+def _scaled_gauge(a: np.ndarray, gauge: Callable[[np.ndarray], float]) -> float:
+    """max(a) * gauge(a / max(a)) for a >= 0, and 0.0 when a is zero: the
+    scale rule of every positively homogeneous scalar gauge, whose root
+    search then runs on max 1 and holds anywhere in the float range."""
+    m = float(a.max())
+    if m <= 0.0:
+        return 0.0
+    return m * gauge(a / m)
 
-    With m = max a and w = coef * (a/m)**k, in t = m/beta the equation
-    reads sum(w * t**k) = 1, whose left side is increasing and convex, so
-    the safeguarded Newton solves it.  Dividing a by m keeps every term
-    finite at any scale of a.  Newton starts just above the root
+
+def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray) -> float:
+    """Solve sum(coef * (a/beta)**k) = 1 for beta, with max(a) = 1 and
+    k >= 1.
+
+    With w = coef * a**k, in t = 1/beta the equation reads
+    sum(w * t**k) = 1, whose left side is increasing and convex, so the
+    safeguarded Newton solves it.  Newton starts just above the root
     (sum w)**(-1/k_max) of the one-exponent equation, which is the upper
     end of the bracket when all exponents agree.
     """
-    m = float(a.max())
-    w = coef * (a / m) ** k
+    w = coef * a**k
     s0 = float(w.sum()) ** (-1.0 / float(k.max())) * (1.0 + 2.0**-20)
-    gamma = newton_gauge(
+    return newton_gauge(
         lambda s: float(np.dot(w, s**k)) - 1.0,
         lambda s: float(np.dot(w * k, s ** (k - 1.0))),
         s0,
     )
-    return m * gamma
 
 
 def minimize_scalar_convex(

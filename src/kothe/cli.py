@@ -463,7 +463,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         worst_dev = 0.0
         for _ in range(2):
             y = Rv(rng.standard_normal(n))
-            rep = verify_sandwich(space, sandwich_target, y, slack=sandwich_slack, seed=seed)
+            rep = verify_sandwich(space, sandwich_target, y, seed=seed)
             dev = max(rep.lower - rep.value, rep.value - 2.0 * rep.lower)
             worst_dev = max(worst_dev, dev)
         add("sandwich", worst_dev <= sandwich_slack, worst_dev)

@@ -52,8 +52,10 @@ from .norms import (
     Seminorm,
     _AmemiyaDualNorm,
     _conjugate_exponent,
+    amemiya_dual_norm,
     check_axioms,
     gen_orlicz_dual_norm,
+    luxemburg_norm,
 )
 from .risk import RiskMeasureSpec, _dual_inf_form, penalty_gauge
 from .space import FiniteProbSpace, Rv, _check_on_space, _pow2_scaled, _scale_back, pairing
@@ -74,8 +76,9 @@ __all__ = [
 ]
 
 _INF = math.inf
-# the slack of verify_holder's inequality
+# the slacks of verify_holder's inequality and verify_sandwich's two
 _HOLDER_SLACK = 1e-8
+_SANDWICH_SLACK = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +172,9 @@ def polar(
     else:
         # unit vectors bound every variable; the top-k sets of |y| carry the
         # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
+        # (the top-1 set is a unit vector already)
         rank = np.argsort(order)
-        starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)]
+        starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)[1:]]
     res = maximize_linear_on_polytope(c, lambda w: spec.linear_piece_arr(space, w), monotone=comonotone, starts=starts)
     if res is None:
         res = _smooth_polar(space, spec, a, norm_fn)
@@ -328,7 +332,6 @@ class SandwichReport:
     value: float   # the dual norm of y
     ratio: float
     ok: bool
-    slack: float
 
 
 def verify_sandwich(
@@ -336,7 +339,6 @@ def verify_sandwich(
     hspec,
     y: Rv,
     *,
-    slack: float = 1e-6,
     seed: int = 0,
 ) -> SandwichReport:
     """Check gauge <= dual norm <= 2 * gauge for the Luxemburg-type pairs.
@@ -347,8 +349,6 @@ def verify_sandwich(
     """
     _check_on_space(space, y, "y")
     if isinstance(hspec, MusielakFamily):
-        from .norms import amemiya_dual_norm, luxemburg_norm
-
         lower = luxemburg_norm(space, y, hspec.conjugate())
         value = amemiya_dual_norm(space, y, hspec)
     elif isinstance(hspec, RiskMeasureSpec):
@@ -359,9 +359,9 @@ def verify_sandwich(
         lower, value = res.max_form, res.value
     else:
         raise TypeError("hspec must be a MusielakFamily, RiskMeasureSpec or GenOrliczNorm")
-    ok = (lower <= value + slack) and (value <= 2.0 * lower + slack)
+    ok = (lower <= value + _SANDWICH_SLACK) and (value <= 2.0 * lower + _SANDWICH_SLACK)
     ratio = value / lower if lower > 0 else (1.0 if value == 0.0 else _INF)
-    return SandwichReport(lower, value, ratio, ok, slack)
+    return SandwichReport(lower, value, ratio, ok)
 
 
 def rho_m(space: FiniteProbSpace, u: Rv, y: Rv) -> float:

@@ -21,6 +21,7 @@ from ._optim import (
     GenOrliczDualResult,
     SmoothModular,
     _power_gauge,
+    _scaled_gauge,
     amemiya_multiplier,
     bisect_gauge,
     gen_orlicz_dual_brackets,
@@ -271,19 +272,14 @@ class LuxemburgNorm(Seminorm):
     def _value_arr(self, space, x):
         _check_family_size(self.family, x.size)
         a = np.abs(x)
-        if not np.any(a > 0.0):
-            return 0.0
         pw = self.family._pow_p  # type: ignore[attr-defined]
         if pw is not None:
             # E Phi(a/beta) = sum(prob_i * scale_i * (a_i/beta)**p_i)
             mask = a > 0.0
             coef = space.probs[mask] * self.family._pow_scale[mask]  # type: ignore[attr-defined]
-            return _power_gauge(a[mask], coef, pw[mask])
-        # the gauge is positively homogeneous: bisect on a / max(a) at any scale
-        m = float(a.max())
-        a = a / m
-        return m * bisect_gauge(
-            lambda b: self.family.modular(space.probs, a / b) <= 1.0,
+            return _scaled_gauge(a, lambda z: _power_gauge(z[mask], coef, pw[mask]))
+        return _scaled_gauge(
+            a, lambda z: bisect_gauge(lambda b: self.family.modular(space.probs, z / b) <= 1.0)
         )
 
     def smooth_modular(self, space):
@@ -452,17 +448,15 @@ class _AmemiyaDualNorm(Seminorm):
             return amemiya_multiplier(a, space.probs, modular)[1]
         # a Young family without a closed-form Phi': the infimum is convex
         # and positively homogeneous in a, so golden section on a / max(a)
-        if not np.any(a > 0.0):
-            return 0.0
         conj_family = self.primal.family.conjugate()
-        m = float(a.max())
-        a = a / m
 
-        def objective(beta: float) -> float:
-            return beta * conj_family.modular(space.probs, a / beta) + beta
+        def amemiya(z: np.ndarray) -> float:
+            def objective(beta: float) -> float:
+                return beta * conj_family.modular(space.probs, z / beta) + beta
 
-        _, value = minimize_scalar_convex(objective, x0=float(np.dot(space.probs, a)))
-        return m * value
+            return minimize_scalar_convex(objective, x0=float(np.dot(space.probs, z)))[1]
+
+        return _scaled_gauge(a, amemiya)
 
     def polar_witness(self, space: FiniteProbSpace, a: np.ndarray) -> tuple[np.ndarray, float] | None:
         """(w, lam) for a >= 0: lam is the primal norm of a, and
@@ -507,14 +501,9 @@ class GenOrliczNorm(Seminorm):
 
     def _value_arr(self, space, x):
         self._ensure_inner(space)
-        a = np.abs(x)
-        if not np.any(a > 0.0):
-            return 0.0
-        # the gauge is positively homogeneous: bisect on a / max(a) at any scale
-        m = float(a.max())
-        a = a / m
-        return m * bisect_gauge(
-            lambda b: self.inner._value_arr(space, self.phi.eval_array(a / b)) <= 1.0,
+        return _scaled_gauge(
+            np.abs(x),
+            lambda z: bisect_gauge(lambda b: self.inner._value_arr(space, self.phi.eval_array(z / b)) <= 1.0),
         )
 
     def dual_brackets(self, space: FiniteProbSpace, z: np.ndarray) -> GenOrliczDualResult | None:

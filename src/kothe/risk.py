@@ -18,6 +18,7 @@ import numpy as np
 from ._optim import (
     ConvergenceError,
     SmoothModular,
+    _scaled_gauge,
     bisect_gauge,
     newton_gauge,
 )
@@ -162,30 +163,23 @@ def evaluate_risk(space: FiniteProbSpace, rho: RiskMeasureSpec, u: Rv) -> float:
 
 
 def _risk_norm_arr(space: FiniteProbSpace, rho: RiskMeasureSpec, x_abs: np.ndarray) -> float:
-    if not np.any(x_abs > 0.0):
-        return 0.0
     if rho.positively_homogeneous:
         # the gauge of a positively homogeneous rho is rho itself
-        return _risk_arr(space, rho, x_abs)
+        return _risk_arr(space, rho, x_abs) if np.any(x_abs > 0.0) else 0.0
     if rho.kind == "entropic":
         probs, theta = space.probs, rho.theta
 
-        def slope(s: float) -> float:
-            w = theta * s * x_abs
-            e = probs * np.exp(w - float(w.max()))
-            return float(np.dot(e, x_abs) / e.sum())
+        def entropic_gauge(z: np.ndarray) -> float:
+            def slope(s: float) -> float:
+                w = theta * s * z
+                e = probs * np.exp(w - float(w.max()))
+                return float(np.dot(e, z) / e.sum())
 
-        # rho(s*|x|) is increasing and convex in s = 1/beta
-        return newton_gauge(
-            lambda s: _entropic_arr(probs, s * x_abs, theta) - 1.0,
-            slope,
-            1.0 / float(x_abs.max()),
-        )
-    hi0 = max(float(x_abs.max()), abs(_risk_arr(space, rho, x_abs)), 1e-12)
-    return bisect_gauge(
-        lambda b: _risk_arr(space, rho, x_abs / b) <= 1.0,
-        hi0=hi0,
-    )
+            # rho(s*z) is increasing and convex in s = 1/beta
+            return newton_gauge(lambda s: _entropic_arr(probs, s * z, theta) - 1.0, slope, 1.0)
+
+        return _scaled_gauge(x_abs, entropic_gauge)
+    return _scaled_gauge(x_abs, lambda z: bisect_gauge(lambda b: _risk_arr(space, rho, z / b) <= 1.0))
 
 
 def risk_norm(space: FiniteProbSpace, rho: RiskMeasureSpec, u: Rv) -> float:

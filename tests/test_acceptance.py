@@ -155,7 +155,7 @@ def test_c05_musielak_and_risk_sandwich():
             )
         )
         y = Rv(rng.standard_normal(n))
-        rep = verify_sandwich(space, fam, y, slack=1e-6, seed=k)
+        rep = verify_sandwich(space, fam, y, seed=k)
         worst_dev = max(worst_dev, rep.lower - rep.value, rep.value - 2.0 * rep.lower)
         res = polar(space, LuxemburgNorm(fam), y, seed=k)
         worst_agree = max(worst_agree, abs(res.value - amemiya_dual_norm(space, y, fam)))
@@ -166,7 +166,7 @@ def test_c05_musielak_and_risk_sandwich():
             float(rng.uniform(0.3, 2.0))
         )
         y = Rv(rng.standard_normal(n))
-        rep = verify_sandwich(space, rho, y, slack=1e-6, seed=k)
+        rep = verify_sandwich(space, rho, y, seed=k)
         worst_dev = max(worst_dev, rep.lower - rep.value, rep.value - 2.0 * rep.lower)
     _report(
         "C05",
@@ -316,7 +316,7 @@ def test_c09_risk_penalty_and_sandwich():
             float(rng.uniform(0.3, 2.0))
         )
         y = Rv(rng.standard_normal(n))
-        rep = verify_sandwich(sp, rho, y, slack=1e-6, seed=k)
+        rep = verify_sandwich(sp, rho, y, seed=k)
         worst_dev = max(worst_dev, rep.lower - rep.value, rep.value - 2.0 * rep.lower)
     _report(
         "C09",

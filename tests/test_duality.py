@@ -323,9 +323,7 @@ def test_verify_bipolar_by_cuts_on_polar_witnesses(name, n, uniform, gate):
 def test_numeric_dual_runs_one_inner_polar_per_kelley_point(monkeypatch):
     # the facet of the numeric dual at a point is the witness of one inner
     # polar, and its pairing with the point is the dual norm there, so no
-    # second inner polar evaluates the norm: every point but the duplicated
-    # start (the top unit vector is also the first top-k indicator) costs
-    # one inner polar
+    # second inner polar evaluates the norm: every point costs one inner polar
     spec = GenOrliczNorm(young_power(2), LpNorm(1.0))
     space = FiniteProbSpace(np.random.default_rng(3).dirichlet(np.ones(6)))
     u = Rv(np.random.default_rng(4).standard_normal(6))
@@ -340,7 +338,7 @@ def test_numeric_dual_runs_one_inner_polar_per_kelley_point(monkeypatch):
     monkeypatch.setattr(kothe.duality, "polar", counting)
     rep = verify_bipolar(space, spec, u)
     assert rep.rel_gap <= 1e-11
-    assert len(points) <= len(set(points)) + 1
+    assert len(points) == len(set(points))
 
 
 def test_line_search_polar_is_rearranged_onto_y():

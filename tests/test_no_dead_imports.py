@@ -1,8 +1,11 @@
-"""No module of kothe imports a name it neither uses nor re-exports.
+"""No module of kothe imports a name it neither uses nor re-exports, or
+defers an import it could make at the top.
 
 No linter runs on this package, so this stands in for the unused-import
 check: a name bound by an import must be read somewhere in the module, or
-be listed in its ``__all__``.  ``__init__.py`` only re-exports and is left
+be listed in its ``__all__``.  An import inside a function breaks an
+import cycle, so it may name only a sibling module that the module does
+not already import at its top.  ``__init__.py`` only re-exports and is left
 out."""
 
 import ast
@@ -27,6 +30,23 @@ def _dead_imports(tree: ast.Module) -> set[str]:
     return imported - used - exported
 
 
+def _needless_deferred_imports(tree: ast.Module) -> set[str]:
+    top = {node.module for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1}
+    deferred = {
+        node.module
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    return top & deferred
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_every_import_is_used_or_exported(module):
     assert _dead_imports(ast.parse((SRC / module).read_text())) == set()
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
+def test_no_deferred_import_repeats_a_top_level_one(module):
+    assert _needless_deferred_imports(ast.parse((SRC / module).read_text())) == set()

@@ -13,6 +13,8 @@ from kothe import (
     amemiya_dual_norm,
     check_axioms,
     conditional_expectation,
+    custom_risk,
+    entropic,
     family_membership,
     fundamental_functions,
     gen_orlicz_dual_norm,
@@ -40,6 +42,7 @@ from kothe.norms import (
     LpNorm,
     LuxemburgNorm,
     MarcinkiewiczNorm,
+    RiskNorm,
 )
 from families import BUILTIN_FAMILIES
 
@@ -388,6 +391,31 @@ def test_norms_are_homogeneous_across_scales(kind, scale):
         "luxemburg_tabulated": lambda y: luxemburg_norm(NONUNIFORM4, Rv(y), TABULATED4),
     }[kind]
     assert fn(Y4 * scale) / scale == pytest.approx(fn(Y4), rel=1e-12)
+
+
+# risk norms whose gauge is a root search, besides the built-in entropic(2)
+RISK_GAUGES = {
+    "risk_entropic_0.7": lambda n: RiskNorm(entropic(0.7)),
+    "risk_entropic_50": lambda n: RiskNorm(entropic(50.0)),
+    # E[x] + E[(x+)^2] / 2 overflows at 2**995 even where its gauge does not
+    "risk_custom_quadratic": lambda n: RiskNorm(
+        custom_risk(lambda sp, x: float(sp.probs @ x + 0.5 * (sp.probs @ np.maximum(x, 0.0) ** 2)))
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES) + sorted(RISK_GAUGES))
+def test_every_family_is_homogeneous_at_the_ends_of_the_float_range(family):
+    make = BUILTIN_FAMILIES.get(family) or RISK_GAUGES[family]
+    rng = np.random.default_rng(1000)
+    for n in (1, 3, 6):
+        for space in (FiniteProbSpace.uniform(n), FiniteProbSpace(rng.dirichlet(np.ones(n)))):
+            spec = make(n)
+            x = rng.standard_normal(n)
+            want = spec.value(space, Rv(x))
+            for e in (-1000, -996, 995, 1000):
+                got = spec.value(space, Rv(np.ldexp(x, e)))
+                assert got == pytest.approx(math.ldexp(want, e), rel=1e-9), (n, space.is_uniform, e)
 
 
 @pytest.mark.parametrize("p", [1.2, 2.0, 2.3, 3.0, 6.0])

@@ -90,13 +90,11 @@ def test_risk_norm_bisection_matches_shortcut():
         n = int(rng.integers(1, 8))
         space = FiniteProbSpace.uniform(n)
         u = Rv(rng.standard_normal(n))
-        x_abs = np.abs(u.values)
+        m = float(np.abs(u.values).max())
+        z = np.abs(u.values) / m
         for rho in (avar(0.4), entropic(0.7)):
             a = risk_norm(space, rho, u)
-            b = bisect_gauge(
-                lambda beta: evaluate_risk(space, rho, Rv(x_abs / beta)) <= 1.0,
-                hi0=float(x_abs.max()),
-            )
+            b = m * bisect_gauge(lambda beta: evaluate_risk(space, rho, Rv(z / beta)) <= 1.0)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
