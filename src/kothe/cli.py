@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +35,9 @@ from .norms import (
     phi_power_root,
     phi_sqrt,
 )
-from .duality import dual_spec_of, polar, verify_bipolar, verify_sandwich
+from .duality import _HOLDER_SLACK, _SANDWICH_SLACK, dual_spec_of, polar, verify_bipolar, verify_sandwich
 from .rearrange import _tail_min, quantile
 from .risk import (
-    RiskMeasureSpec,
     avar,
     check_risk_axioms,
     entropic,
@@ -47,7 +46,7 @@ from .risk import (
     risk_dual_norm,
     risk_norm,
 )
-from .space import FiniteProbSpace, Rv, pairing
+from .space import CheckItem, FiniteProbSpace, Rv, pairing
 from .young import MusielakFamily, YoungFunction, young_exponential, young_indicator_ball, young_power, young_power_over_p
 
 SCHEMA = "1"
@@ -193,13 +192,13 @@ def _young_from(cfg: dict[str, str]) -> YoungFunction:
 
 def _inner_from(cfg: dict[str, str]) -> Seminorm:
     kind = cfg.get("inner_kind", "lp").lower()
+    default = {"lp": "1", "lorentz": "0.5", "marcinkiewicz": "0.5"}.get(kind)
+    if default is None:
+        raise ConfigError(f"unknown inner seminorm {kind!r}")
+    param = _float_param({"inner_param": default, **cfg}, "inner_param")
     if kind == "lp":
-        return LpNorm(float(cfg.get("inner_param", "1")))
-    if kind == "lorentz":
-        return LorentzNorm(phi_power_root(float(cfg.get("inner_param", "0.5"))))
-    if kind == "marcinkiewicz":
-        return MarcinkiewiczNorm(phi_power_root(float(cfg.get("inner_param", "0.5"))))
-    raise ConfigError(f"unknown inner seminorm {kind!r}")
+        return LpNorm(param)
+    return (LorentzNorm if kind == "lorentz" else MarcinkiewiczNorm)(phi_power_root(param))
 
 
 def parse_config(path: str | Path, n_atoms: int):
@@ -233,54 +232,6 @@ def parse_config(path: str | Path, n_atoms: int):
 def _as_seminorm(parsed) -> Seminorm:
     tag, obj = parsed
     return RiskNorm(obj) if tag == "risk" else obj
-
-
-def config_text(obj) -> str:
-    """Serialize a built-in seminorm or risk spec back to key=value lines."""
-
-    def concave_lines(phi: PhiConcave) -> list[str]:
-        if phi.kind != "power_root":
-            raise ConfigError("only power-root concave weights serialize to config text")
-        return ["phi=power_root", f"phi_param={phi.a:g}"]
-
-    def young_lines(phi) -> list[str]:
-        if phi.kind == "power":
-            if phi.scale == 1.0:
-                return ["phi=power", f"phi_param={phi.p:g}"]
-            if phi.scale == 1.0 / phi.p:
-                return ["phi=power_over_p", f"phi_param={phi.p:g}"]
-        if phi.kind == "exp":
-            return ["phi=exp"]
-        if phi.kind == "indicator":
-            return ["phi=indicator_ball", f"phi_param={phi.bound:g}"]
-        raise ConfigError("this Young function does not serialize to config text")
-
-    if isinstance(obj, LpNorm):
-        return "\n".join(["kind=lp", f"p={'inf' if math.isinf(obj.p) else f'{obj.p:g}'}"]) + "\n"
-    if isinstance(obj, LuxemburgNorm):
-        if not obj.family.is_constant:
-            raise ConfigError("only atom-constant Young families serialize to config text")
-        return "\n".join(["kind=luxemburg"] + young_lines(obj.family.functions[0])) + "\n"
-    if isinstance(obj, MarcinkiewiczNorm):
-        return "\n".join(["kind=marcinkiewicz"] + concave_lines(obj.phi)) + "\n"
-    if isinstance(obj, LorentzNorm):
-        return "\n".join(["kind=lorentz"] + concave_lines(obj.phi)) + "\n"
-    if isinstance(obj, GenOrliczNorm):
-        inner = obj.inner
-        if isinstance(inner, LpNorm):
-            inner_lines = ["inner_kind=lp", f"inner_param={inner.p:g}"]
-        elif isinstance(inner, LorentzNorm) and inner.phi.kind == "power_root":
-            inner_lines = ["inner_kind=lorentz", f"inner_param={inner.phi.a:g}"]
-        elif isinstance(inner, MarcinkiewiczNorm) and inner.phi.kind == "power_root":
-            inner_lines = ["inner_kind=marcinkiewicz", f"inner_param={inner.phi.a:g}"]
-        else:
-            raise ConfigError("this inner seminorm does not serialize to config text")
-        return "\n".join(["kind=gen_orlicz"] + young_lines(obj.phi) + inner_lines) + "\n"
-    if isinstance(obj, RiskMeasureSpec) and obj.kind == "avar":
-        return f"kind=avar\nlevel={obj.level:g}\n"
-    if isinstance(obj, RiskMeasureSpec) and obj.kind == "entropic":
-        return f"kind=entropic\ntheta={obj.theta:g}\n"
-    raise ConfigError(f"cannot serialize {obj!r} to config text")
 
 
 # ---------------------------------------------------------------------------
@@ -385,31 +336,26 @@ def cmd_risk(args) -> int:
     return EXIT_OK
 
 
+def _suite_json(checks: list[CheckItem]) -> dict:
+    """The check document: each item's fields in order, the witness only where it failed."""
+    entries = [{k: v for k, v in vars(c).items() if k != "witness" or (v and not c.passed)} for c in checks]
+    return {"all_pass": all(c.passed for c in checks), "checks": entries}
+
+
 def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> dict:
     space = scenario.space
     rng = np.random.default_rng(seed)
     n = space.n_atoms
-    checks: list[dict] = []
-
-    def add(name: str, passed: bool, worst: float, witness: str | None = None) -> None:
-        entry = {"name": name, "passed": bool(passed), "worst": worst}
-        if witness and not passed:
-            entry["witness"] = witness
-        checks.append(entry)
-
     tag, obj = parsed
     spec = _as_seminorm(parsed)
 
     if tag == "risk":
-        risk_report = check_risk_axioms(space, obj, trials=25, seed=seed)
-        for item in risk_report.items:
-            add(f"risk_axiom:{item.name}", item.passed, item.worst, item.witness)
-        axioms_ok = risk_report.all_pass
+        report = check_risk_axioms(space, obj, trials=25, seed=seed)
+        prefix, axioms_ok = "risk_axiom", report.all_pass
     else:
         report = check_axioms(space, spec, trials=25, seed=seed)
-        for item in report.items:
-            add(f"axiom:{item.name}", item.passed, item.worst, item.witness)
-        axioms_ok = report.core_pass
+        prefix, axioms_ok = "axiom", report.core_pass
+    checks = [replace(item, name=f"{prefix}:{item.name}") for item in report.items]
 
     # CVaR tail identity on this space: the running quantile integral must
     # match the infimal tail form at every probed level.  Per u, one quantile
@@ -423,12 +369,11 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         integrals = np.interp(levels, q.breakpoints, q.integrals_at_breakpoints())
         infima = _tail_min(space.probs, np.abs(u.values), levels[:, None])
         worst_cvar = max(worst_cvar, float(np.abs(integrals - infima).max()))
-    add("cvar_identity", worst_cvar <= 1e-10, worst_cvar)
+    checks.append(CheckItem("cvar_identity", worst_cvar <= 1e-10, worst_cvar))
 
-    if not axioms_ok:
-        return {"all_pass": False, "checks": checks}
+    if not axioms_ok:  # the duality checks rest on the axioms
+        return _suite_json(checks)
 
-    holder_slack = slack if slack is not None else 1e-8
     worst_holder = -math.inf
     for _ in range(5):
         u = Rv(rng.standard_normal(n))
@@ -436,22 +381,19 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         lhs = pairing(space, u, y)
         rhs = spec.value(space, u) * polar(space, spec, y, seed=seed).value
         worst_holder = max(worst_holder, lhs - rhs)
-    add("holder", worst_holder <= holder_slack, worst_holder)
+    checks.append(CheckItem("holder", worst_holder <= (_HOLDER_SLACK if slack is None else slack), worst_holder))
 
     # the bipolar round trip runs on the registered dual-ball gauge, which
     # every polyhedral and modular family has on every space; others would
     # round-trip through nested polars, which can take minutes for
     # line-search polars, so the sandwich check below covers their dual side
     if dual_spec_of(space, spec) is not None:
-        bipolar_slack = slack if slack is not None else 1e-5
         worst_bipolar = 0.0
         for _ in range(2):
             u = Rv(rng.standard_normal(n))
-            rep = verify_bipolar(space, spec, u, seed=seed)
-            worst_bipolar = max(worst_bipolar, rep.rel_gap)
-        add("bipolar", worst_bipolar <= bipolar_slack, worst_bipolar)
+            worst_bipolar = max(worst_bipolar, verify_bipolar(space, spec, u, seed=seed).rel_gap)
+        checks.append(CheckItem("bipolar", worst_bipolar <= (1e-5 if slack is None else slack), worst_bipolar))
 
-    sandwich_slack = slack if slack is not None else 1e-6
     sandwich_target = None
     if isinstance(spec, LuxemburgNorm):
         sandwich_target = spec.family
@@ -464,9 +406,8 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         for _ in range(2):
             y = Rv(rng.standard_normal(n))
             rep = verify_sandwich(space, sandwich_target, y, seed=seed)
-            dev = max(rep.lower - rep.value, rep.value - 2.0 * rep.lower)
-            worst_dev = max(worst_dev, dev)
-        add("sandwich", worst_dev <= sandwich_slack, worst_dev)
+            worst_dev = max(worst_dev, rep.lower - rep.value, rep.value - 2.0 * rep.lower)
+        checks.append(CheckItem("sandwich", worst_dev <= (_SANDWICH_SLACK if slack is None else slack), worst_dev))
 
     if isinstance(spec, MarcinkiewiczNorm):
         dual = dual_spec_of(space, spec)
@@ -475,9 +416,9 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
             y = Rv(rng.standard_normal(n))
             res = polar(space, spec, y, seed=seed)
             worst_agree = max(worst_agree, abs(res.value - dual.value(space, y)))
-        add("lorentz_polar_agreement", worst_agree <= 1e-5, worst_agree)
+        checks.append(CheckItem("lorentz_polar_agreement", worst_agree <= 1e-5, worst_agree))
 
-    return {"all_pass": all(c["passed"] for c in checks), "checks": checks}
+    return _suite_json(checks)
 
 
 def cmd_check(args) -> int:

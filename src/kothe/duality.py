@@ -388,14 +388,6 @@ class SingularPartReport:
     def singular_part_trivial(self) -> bool:
         return True
 
-    def as_dict(self) -> dict:
-        return {
-            "n_functionals": self.n_functionals,
-            "max_error": self.max_error,
-            "dual_dimension": self.dual_dimension,
-            "singular_part_trivial": self.singular_part_trivial,
-        }
-
 
 def density_of_functional(space: FiniteProbSpace, coeffs: np.ndarray) -> Rv:
     """The density y with sum(coeffs * u) = E[u * y] for every u."""

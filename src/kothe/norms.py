@@ -11,6 +11,7 @@ randomized and report-only; it never mutates the spec it inspects.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -102,6 +103,11 @@ class PhiConcave:
         assert self.ts is not None and self.ys is not None
         return np.interp(t, self.ts, self.ys)
 
+    @functools.cached_property
+    def _slopes(self) -> np.ndarray:
+        """The slopes of a tabulated phi's linear pieces."""
+        return np.diff(self.ys) / np.diff(self.ts)
+
     @property
     def name(self) -> str:
         if self.kind == "power_root":
@@ -135,12 +141,12 @@ def phi_tabulated(ts, ys) -> PhiConcave:
         raise ValueError("node t values must be strictly increasing")
     if np.any(np.diff(ys) < -1e-12):
         raise ValueError("node values must be nondecreasing")
-    slopes = np.diff(ys) / np.diff(ts)
-    if np.any(np.diff(slopes) > 1e-9):
-        raise ValueError("nodes must describe a concave function")
     ts.setflags(write=False)
     ys.setflags(write=False)
-    return PhiConcave("tabulated", ts=ts, ys=ys)
+    phi = PhiConcave("tabulated", ts=ts, ys=ys)
+    if np.any(np.diff(phi._slopes) > 1e-9):
+        raise ValueError("nodes must describe a concave function")
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -362,12 +368,26 @@ def _lorentz_increments(
     probs: np.ndarray, x: np.ndarray, phi: PhiConcave
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Along the last axis: the stable descending order of |x|, its levels,
-    and the phi increments phi(T_j) - phi(T_{j-1}) at the running masses
-    T_j along it (phi(0) = 0)."""
-    order, levels, _, bp = _sorted_prefix(probs, np.abs(x))
-    bp[..., -1] = 1.0  # the running mass ends at 1, up to rounding
-    inc = phi._eval(bp)
-    inc[..., 1:] -= inc[..., :-1].copy()  # np.diff, with phi(0) = 0 before the first
+    and the phi increments phi(t + h) - phi(t) along it, with h the atom's
+    mass and t the running mass before it.  Each is formed from h and t: a
+    difference of phi at rounded running masses loses a light atom's
+    digits, and its facet then cuts off the vertex 1_S / phi(P(S)) of a
+    light top set S."""
+    order, levels, h, bp = _sorted_prefix(probs, np.abs(x))
+    t, h1 = bp[..., :-1], h[..., 1:]
+    if phi.kind == "power_root":
+        # (t + h)^a (1 - (1 + h/t)^-a), to a few ulps at every ratio h/t;
+        # at the first atom t = 0 and the running mass is h
+        inc = bp**phi.a
+        inc[..., 1:] *= -np.expm1(-phi.a * np.log1p(h1 / t))
+        return order, levels, inc
+    # phi is piecewise linear: slope times the length of [t, t + h] inside
+    # each piece [lo, hi], min(h, hi - t) - max(lo - t, 0) clipped at 0,
+    # which is exactly h in a piece that holds the whole interval
+    inc = phi._eval(h)  # at the first atom, where t = 0
+    t, h1 = t[..., None], h1[..., None]
+    inside = np.minimum(h1, phi.ts[1:] - t) - np.maximum(phi.ts[:-1] - t, 0.0)
+    inc[..., 1:] = np.maximum(inside, 0.0) @ phi._slopes
     return order, levels, inc
 
 
@@ -651,17 +671,6 @@ class AxiomReport:
     def failure_names(self) -> list[str]:
         return [i.name for i in self.items if not i.passed]
 
-    def as_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "items": [
-                {"name": i.name, "passed": i.passed, "worst": i.worst, "witness": i.witness}
-                for i in self.items
-            ],
-        }
-
 
 def check_axioms(
     space: FiniteProbSpace,
@@ -738,13 +747,6 @@ class FundamentalFunctions:
     ts: np.ndarray
     upper: np.ndarray  # sup{p(1_A) : P(A) <= t}
     lower: np.ndarray  # inf{p(1_A) : P(A) >= t}
-
-    def as_dict(self) -> dict:
-        return {
-            "ts": self.ts.tolist(),
-            "upper": self.upper.tolist(),
-            "lower": self.lower.tolist(),
-        }
 
 
 def fundamental_functions(space: FiniteProbSpace, spec: Seminorm) -> FundamentalFunctions:

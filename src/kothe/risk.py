@@ -479,15 +479,6 @@ class RiskAxiomReport:
     def all_pass(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def as_dict(self) -> dict:
-        return {
-            "all_pass": self.all_pass,
-            "items": [
-                {"name": i.name, "passed": i.passed, "worst": i.worst, "witness": i.witness}
-                for i in self.items
-            ],
-        }
-
 
 def check_risk_axioms(
     space: FiniteProbSpace,

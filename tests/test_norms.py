@@ -1,4 +1,6 @@
+import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from kothe import (
     Partition,
     Rv,
     amemiya_dual_norm,
+    avar,
     check_axioms,
     conditional_expectation,
     custom_risk,
@@ -43,6 +46,7 @@ from kothe.norms import (
     LuxemburgNorm,
     MarcinkiewiczNorm,
     RiskNorm,
+    _lorentz_increments,
 )
 from families import BUILTIN_FAMILIES
 
@@ -159,6 +163,45 @@ def test_lorentz_examples():
     assert lorentz_norm(UNIFORM4, u, phi_identity()) == pytest.approx(
         lp_norm(UNIFORM4, u, 1), abs=1e-12
     )
+
+
+def _exact_increment(phi, t: float, h: float) -> float:
+    """phi(t + h) - phi(t) for float t and h, to 50 digits for t^a and
+    exactly on the float nodes for a tabulated phi (constant past 1)."""
+    if phi.kind == "power_root":
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a = decimal.Decimal(phi.a)
+            return float((decimal.Decimal(t) + decimal.Decimal(h)) ** a - decimal.Decimal(t) ** a)
+
+    def at(s: Fraction) -> Fraction:
+        s = min(s, Fraction(1))
+        k = min(int(np.searchsorted(phi.ts, float(s), side="right")) - 1, phi.ts.size - 2)
+        lo, hi = Fraction(phi.ts[k]), Fraction(phi.ts[k + 1])
+        return Fraction(phi.ys[k]) + (Fraction(phi.ys[k + 1]) - Fraction(phi.ys[k])) * (s - lo) / (hi - lo)
+
+    return float(at(Fraction(t) + Fraction(h)) - at(Fraction(t)))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [phi_sqrt(), phi_power_root(0.1), phi_tabulated([0.0, 0.3, 1.0], [0.0, 0.6, 1.0]), avar(0.3)._phi],
+    ids=["sqrt", "t^0.1", "tabulated", "avar"],
+)
+def test_lorentz_increments_keep_every_digit_on_skewed_masses(phi):
+    # the increment of each atom, with t the rounded running mass before it,
+    # to 1e-15 relative; masses span 1e-15 to 1, so a difference of phi at
+    # two running masses would keep as few as three digits of a light atom's
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        n = int(rng.integers(1, 13))
+        w = 10.0 ** (-15.0 * rng.uniform(size=n))
+        probs = w / w.sum()
+        order, _, inc = _lorentz_increments(probs, rng.standard_normal(n), phi)
+        h = probs[order]
+        t = np.concatenate([[0.0], np.cumsum(h)[:-1]])
+        want = np.array([_exact_increment(phi, *th) for th in zip(t.tolist(), h.tolist())])
+        assert np.all(np.abs(inc - want) <= 1e-15 * want)
 
 
 def test_gen_orlicz_examples():

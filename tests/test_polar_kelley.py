@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,77 @@ def test_kelley_polar_converges_on_larger_nonuniform_spaces(name, n):
             # in x = p * w the ball is the polymatroid x(S) <= phi(P(S)), so the
             # greedy vertex in |y| order is optimal: the Lorentz norm of y
             assert res.value == pytest.approx(lorentz_norm(space, Rv(y), phi_sqrt()), rel=1e-12)
+
+
+_PHI_TAB = phi_tabulated([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
+# Marcinkiewicz polars run to the cut budget (about 0.3 s each) on a third
+# of the skewed spaces, so they get fewer cases
+_SKEWED_CASES = {
+    "L1": 200,
+    "Linf": 200,
+    "marcinkiewicz": 40,
+    "marcinkiewicz_tabulated": 20,
+    "lorentz": 200,
+    "lorentz_tabulated": 200,
+    "avar": 200,
+    "avar_dual": 200,
+}
+
+
+@pytest.mark.parametrize("name", list(_SKEWED_CASES))
+def test_skewed_masses_keep_the_registered_dual_in_the_bracket(name):
+    # masses p ~ 10^(-15 U) span 1e-15 to 1.  A light atom's facet entry
+    # must keep its digits: else the cuts sever the vertex 1_S / phi(P(S))
+    # of a light top set S, and a converged bracket misses the dual
+    for k in range(_SKEWED_CASES[name]):
+        rng = np.random.default_rng(k)
+        n = int(rng.integers(1, 13))
+        w = 10.0 ** (-15.0 * rng.uniform(size=n))
+        space = FiniteProbSpace(w / w.sum())
+        y = Rv(rng.standard_normal(n))
+        if name.endswith("_tabulated"):
+            spec = (LorentzNorm if name.startswith("lorentz") else MarcinkiewiczNorm)(_PHI_TAB)
+        else:
+            spec = _spec(name, space)
+        try:
+            res = polar(space, spec, y)
+        except ValueError as exc:
+            # atoms lighter than about 1e-9 can still read as an unbounded ray
+            assert "vanishes" in str(exc)
+            continue
+        dual = dual_spec_of(space, spec).value(space, y)
+        assert res.value * (1.0 - 1e-15) <= dual <= res.upper * (1.0 + 1e-15), (k, res)
+        if res.converged:
+            assert dual - res.value <= 1e-12 * dual, (k, res)
+
+
+def test_light_atom_increments_keep_the_lorentz_bracket():
+    # the best top-k set is the single atom of mass 4.5e-13, whose vertex
+    # pairs to |y_1| / 2 exactly.  Increments taken as differences of phi at
+    # rounded running masses put one cut 7.6e-8 above 1 there, and the
+    # polar stopped converged at 1.0988356762322518
+    p = [4.56036734491918e-05, 4.5263539928756586e-13, 9.037828826530412e-05, 0.40662560554553945,
+         0.0002335369406573347, 0.5747304666109482, 8.260421838956876e-13, 0.017511259394222396,
+         2.936394007599943e-15, 0.0007631495456365092]
+    y = [-1.1616095185495017, -2.197671367087202, 0.5704695747069322, 0.027615835350643075,
+         0.9625532543524465, -0.12588436360404337, 0.2197549635234998, -1.499989013056637,
+         0.44800965515897445, -0.44489845287418683]
+    res = polar(FiniteProbSpace(p), LorentzNorm(_PHI_TAB), Rv(y))
+    exact = 2.197671367087202 / 2.0
+    assert res.value * (1.0 - 1e-15) <= exact <= res.upper
+    assert res.converged and exact - res.value <= 1e-15 * exact
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a Kelley column of 1e-10 entries reads as a ray")
+@pytest.mark.parametrize("config", ["lp1", "avar_half"])
+def test_dual_on_an_atom_of_mass_1e_10(tmp_path, capsys, config):
+    path = tmp_path / "tiny.csv"
+    path.write_text("prob,x\n1e-10,3\n0.4999999999,-1\n0.5,2\n")
+    fixture = Path(__file__).parent / "fixtures" / f"{config}.cfg"
+    code = main(["dual", "--scenario", str(path), "--config", str(fixture)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["polar"] == doc["closed_form"]
 
 
 def test_kelley_polar_on_a_degenerate_lorentz_case():

@@ -239,6 +239,9 @@ def _slsqp_max(probs, c, phi, dphi):
     weights=st.lists(st.floats(0.05, 1.0), min_size=6, max_size=6),
     y=st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
 )
+# subnormal y: the oracle's own p * |y| and m * oracle underflowed to 0
+@example(n=2, weights=[1.0] * 6, y=[0.0, 5e-324] + [0.0] * 4)
+@example(n=2, weights=[1.0, 0.3] + [1.0] * 4, y=[0.0, 5e-324] + [0.0] * 4)
 def test_multiplier_polar_brackets_the_slsqp_oracle(name, n, weights, y):
     probs = np.array(weights[:n]) / sum(weights[:n])
     space = FiniteProbSpace(probs)
@@ -247,9 +250,12 @@ def test_multiplier_polar_brackets_the_slsqp_oracle(name, n, weights, y):
     if not np.any(yv != 0.0):
         assert res.value == 0.0
         return
-    # SLSQP stops on absolute tolerances, so it runs on |y| / max|y|
+    # SLSQP stops on absolute tolerances, so it runs on |y| / max|y|,
+    # scaled before the masses multiply in: p * |y| underflows for subnormal y.
+    # The polar of a nonzero y is positive: where m * oracle underflows to 0,
+    # the polar reads the least subnormal
     m = float(np.abs(yv).max())
-    oracle = m * _slsqp_max(probs, probs * np.abs(yv) / m, *_young(name, n))
+    oracle = max(m * _slsqp_max(probs, probs * (np.abs(yv) / m), *_young(name, n)), 5e-324)
     slack = GATE * res.upper
     assert res.value - slack <= oracle <= res.upper + slack
 
