@@ -19,7 +19,6 @@ __all__ = [
     "newton_gauge",
     "minimize_scalar_convex",
     "golden_max_interval",
-    "prefix_indicators",
     "MaximizeResult",
     "maximize_linear_on_ball",
     "maximize_linear_on_polytope",
@@ -42,8 +41,9 @@ _KELLEY_GAP = 1e-12
 _KELLEY_ITERS = 500
 # generalized Orlicz program: cuts per solve and Newton steps per master
 _CUT_ITERS = 100
-# simplex: smallest usable pivot element, smallest reduced cost worth a
-# pivot (costs are scaled to max 1), and pivots per solve and tableau row
+# simplex: smallest usable pivot (in primal pivots relative to its column),
+# smallest reduced cost worth a pivot (costs are scaled to max 1), and
+# pivots per solve and tableau row
 _PIVOT_TOL = 1e-9
 _COST_TOL = 1e-13
 _PIVOTS_PER_ROW = 10
@@ -240,11 +240,6 @@ def golden_min_interval(
     """Minimize a unimodal f on [lo, hi]; tolerates +inf values."""
     x, g = golden_max_interval(lambda t: -f(t), lo, hi, rel_xtol=rel_xtol)
     return x, -g
-
-
-def prefix_indicators(n: int) -> list[np.ndarray]:
-    """The indicators of the first k of n coordinates, k = 1..n."""
-    return [np.concatenate([np.ones(k), np.zeros(n - k)]) for k in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -478,11 +473,12 @@ def _primal_simplex(tab: np.ndarray, basis: np.ndarray) -> bool:
     """Primal pivots to optimality from a feasible basis (nonnegative rhs).
 
     Bland's rule picks the entering column, min-ratio ties go to the largest
-    pivot element, pivots below _PIVOT_TOL are refused, and rounding never
-    leaves a negative right-hand side.  Returns False when _PIVOTS_PER_ROW
-    pivots per row run out before the optimum.  Raises ValueError when the
-    LP is unbounded, which happens only for a seminorm that vanishes along a
-    direction with positive pairing.
+    pivot element, pivots up to _PIVOT_TOL times the largest entry of their
+    column are refused (a light atom's column is small, not a ray), and
+    rounding never leaves a negative right-hand side.  Returns False when
+    _PIVOTS_PER_ROW pivots per row run out before the optimum.  Raises
+    ValueError when the LP is unbounded, which happens only for a seminorm
+    that vanishes along a direction with positive pairing.
     """
     m = basis.size
     for _ in range(_PIVOTS_PER_ROW * m):
@@ -490,7 +486,7 @@ def _primal_simplex(tab: np.ndarray, basis: np.ndarray) -> bool:
         if entering.size == 0:
             return True
         j = int(entering[0])
-        rows = np.flatnonzero(tab[:m, j] > _PIVOT_TOL)
+        rows = np.flatnonzero(tab[:m, j] > _PIVOT_TOL * np.abs(tab[:m, j]).max())
         if rows.size == 0:
             raise ValueError(_VANISHING)
         _pivot(tab, basis, _min_ratio(rows, tab[rows, -1], tab[rows, j]), j)
@@ -567,19 +563,23 @@ def _lp_point(tab: np.ndarray, basis: np.ndarray, f: np.ndarray, a: np.ndarray) 
     The bound comes from the dual: the slack columns of the last row hold
     multipliers y.  For any y >= 0 and any feasible d, f.d = (f - a^T y).d
     + y.(a d) <= sum(y) + sum_j max(0, f_j - (a^T y)_j) / max_i a_ij,
-    because each d_j <= 1 / max_i a_ij.  So the bound holds even when the
-    pivots were inexact, and rounding in y only adds its own size to it.
+    because each d_j <= 1 / max_i a_ij, and f.d <= k * sum(y) for k >= 1
+    with f <= k * a^T y, the tighter one where only rounding leaves y short.
+    So the bound holds even when the pivots were inexact, and rounding in y
+    only adds its own size to it.
     """
     m, n = a.shape
     x = np.zeros(tab.shape[1] - 1)
     x[basis] = tab[:m, -1]
     y = np.maximum(tab[m, n : n + m], 0.0)
-    short = f - a.T @ y
-    over = short > 0.0
+    ay = a.T @ y
+    over = f > ay
+    total = float(y.sum())
+    bound = total * float(np.max(f[over] / ay[over], initial=1.0)) if np.all(ay[over] > 0.0) else _INF
     reach = a.max(axis=0)[over]
-    if np.any(reach <= 0.0):
-        return x[:n], _INF
-    return x[:n], float(y.sum()) + float(np.sum(short[over] / reach))
+    if np.all(reach > 0.0):
+        bound = min(bound, total + float(np.sum((f - ay)[over] / reach)))
+    return x[:n], bound
 
 
 def maximize_linear_on_polytope(
@@ -587,7 +587,6 @@ def maximize_linear_on_polytope(
     facet_fn: Callable[[np.ndarray], np.ndarray | None],
     *,
     monotone: bool,
-    starts: Sequence[np.ndarray],
 ) -> MaximizeResult | None:
     """Maximize <c, w> over {w in cone : rho(w) <= 1} for a polyhedral ball.
 
@@ -605,31 +604,32 @@ def maximize_linear_on_polytope(
     c >= 0.  cone is the nonnegative orthant, or with ``monotone`` the
     nonincreasing cone, written as w_i = sum_{j >= i} d_j over increments
     d >= 0 so that it is again an orthant.  The first cuts are the facets at
-    ``starts``; the unit vectors (the prefix indicators with ``monotone``)
-    among them give every variable a positive coefficient, so the first LP
-    is bounded.  Each later LP starts from the previous optimal basis (dual
-    simplex on the new row).  c is divided by max(c), so the stopping width
-    does not depend on its scale.  Stops when the certified bound is within
-    _KELLEY_GAP of the best value; after _KELLEY_ITERS cuts, when a simplex
-    solve runs out of pivots, or when rounding leaves a gap that no cut
-    closes, the result says converged=False.  Its bound stays certified.
-    n_evals counts facet_fn calls, one per start and one per LP point.
+    the n unit vectors of d (the prefix indicators with ``monotone``), so
+    the first LP is bounded.  Each later LP starts from the previous optimal
+    basis (dual simplex on the new row).  c is divided by max(c), so the
+    stopping width does not depend on its scale.  Stops when the certified
+    bound is within _KELLEY_GAP of the best value; after _KELLEY_ITERS cuts,
+    when a simplex solve runs out of pivots, or when rounding leaves a gap
+    that no new cut closes, the result says converged=False.  Its bound
+    stays certified.  n_evals counts facet_fn calls: n, then one per point.
     """
     n = c.size
     scale = float(c.max())
     f = c / scale
+    starts = np.tri(n) if monotone else np.eye(n)
     first = facet_fn(starts[0])
     if first is None:
         return None
     a = np.array([first] + [facet_fn(w) for w in starts[1:]])
     if monotone:
         f, a = np.cumsum(f), np.cumsum(a, axis=1)
+    held = {g.tobytes() for g in a}
     tab, basis = _tableau(f, a)
     optimal = _primal_simplex(tab, basis)
-    evals = len(starts)
+    evals = n
     best_val, best_x, upper = -_INF, np.zeros(n), _INF
     converged = False
-    fresh = True
+    fresh = False  # whether the tableau was solved afresh from the data since the last cut
     for _ in range(_KELLEY_ITERS):
         d, bound = _lp_point(tab, basis, f, a)
         upper = min(upper, bound)
@@ -648,22 +648,28 @@ def maximize_linear_on_polytope(
             break
         if not optimal:
             break  # the pivots ran out short of the LP optimum: stop, do not cut
-        if nrm <= 1.0 + 1e-12:
-            # no cut separates the LP point, so only rounding in the tableau
-            # keeps the bound loose: solve afresh once, then give up
+        if nrm <= 1.0 + 1e-12 or g.tobytes() in held:
+            # no new cut separates the LP point (a held one is only broken by
+            # rounding), so only rounding in the tableau keeps the bound
+            # loose: solve afresh once, then give up
             if fresh:
                 break
             tab = _refactor(f, a, basis)
             optimal = _primal_simplex(tab, basis)
             fresh = True
+            upper = min(upper, _lp_point(tab, basis, f, a)[1])
+            if upper * scale - best_val <= _KELLEY_GAP * upper * scale:
+                converged = True
+                break
             continue
         a = np.vstack([a, g])
+        held.add(g.tobytes())
         # the old optimum stays dual feasible after a new row
         tab, basis = _add_cut(tab, basis, g)
-        fresh = not _dual_simplex(tab, basis)
-        if fresh:
+        if not _dual_simplex(tab, basis):
             tab, basis = _tableau(f, a)
         optimal = _primal_simplex(tab, basis)
+        fresh = False
     return MaximizeResult(best_val, best_x, converged, evals, max(upper * scale * _ROUND_UP, best_val))
 
 

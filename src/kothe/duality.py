@@ -2,8 +2,7 @@
 
 The polar of a seminorm at y is the supremum of E[u*y] over the unit ball.
 It is computed here without closed forms, after a comonotone reduction for
-rearrangement-invariant seminorms on uniform spaces, by the first route that
-applies:
+rearrangement-invariant seminorms, by the first route that applies:
 
 - Kelley cutting planes on the analytic facets of the polyhedral families,
   and on the witnesses of inner polars for the numeric dual that
@@ -14,9 +13,7 @@ applies:
 - cutting planes on the inner ball for generalized Orlicz norms;
 - projected-subgradient ascent with line searches over the orthant for the
   rest (custom seminorms and risk measures, tabulated, indicator and linear
-  Young functions, the entropic risk norm past theta = 500), whose profile
-  the rearrangement inequality puts in the order of |y| when the seminorm
-  is invariant and the space uniform.
+  Young functions, the entropic risk norm past theta = 500).
 
 All but the last carry a certified upper bound and, but for the numeric
 dual of a seminorm whose unit ball is not a polytope, are exact.
@@ -40,7 +37,6 @@ from ._optim import (
     maximize_linear_on_ball,
     maximize_linear_on_modular_ball,
     maximize_linear_on_polytope,
-    prefix_indicators,
 )
 from .norms import (
     GenOrliczNorm,
@@ -105,7 +101,7 @@ class PolarResult:
     upper: float | None = None
 
 
-# atom-probability keys of the spaces each seminorm has passed the spot check on
+# masses each seminorm passed the spot check on (sorted for an invariant one: relabelling keeps it)
 _SPOT_CACHE: "weakref.WeakKeyDictionary[Seminorm, set[bytes]]" = weakref.WeakKeyDictionary()
 
 
@@ -114,7 +110,7 @@ def _spot_check(space: FiniteProbSpace, spec: Seminorm) -> None:
     monotonicity under domination (the solidity axiom) must hold before the
     sign and rearrangement reductions below are valid.  Only specs whose
     axioms a callback decides are screened, once per space; it only raises."""
-    key = space.probs.tobytes()
+    key = (np.sort(space.probs) if spec.rearrangement_invariant else space.probs).tobytes()
     if spec.axioms_by_construction or key in _SPOT_CACHE.get(spec, ()):
         return
     report = check_axioms(space, spec, trials=5, seed=417)
@@ -135,19 +131,19 @@ def polar(
     """sup{E[u*y] : seminorm(u) <= 1} by direct optimization.
 
     By solidity and symmetry the optimal u has u_i * y_i >= 0 and depends on
-    y only through |y|, so the search runs over the nonnegative orthant; on
-    uniform spaces with a rearrangement-invariant spec it runs on |y| sorted
-    down, and the cutting planes restrict to nonincreasing profiles.  Specs
+    y only through |y|, so the search runs over the nonnegative orthant.  A
+    rearrangement-invariant spec attains it at a u that decreases as |y|
+    does, on any masses (README, "Numerical notes"), so its search runs on
+    the atoms relabelled in that order, on nonincreasing profiles.  Specs
     with a ``linear_piece_arr`` (L1, Linf, the Marcinkiewicz and Lorentz
     norms, among them the avar risk norm and its dual, and the numeric dual
     of ``verify_bipolar``) are solved by Kelley cutting planes, specs with a
     ``smooth_modular`` (Lp, power and exp Luxemburg, the entropic risk norm)
     and their Amemiya dual norms exactly by one Lagrange multiplier,
     generalized Orlicz norms by cutting planes on their inner seminorm.  The
-    rest go to the uncertified orthant line search, seeded by ``seed``; for
-    invariant specs on uniform spaces the rearrangement inequality then
-    moves its profile onto the order of |y|.  The reductions need the axioms,
-    so specs without ``axioms_by_construction`` first pass ``_spot_check``.
+    rest go to the uncertified line search, seeded by ``seed``.  The
+    reductions need the axioms, so specs without ``axioms_by_construction``
+    first pass ``_spot_check``.
     """
     _check_on_space(space, y, "y")
     _spot_check(space, spec)
@@ -156,33 +152,22 @@ def polar(
     if not np.any(z != 0.0):
         return PolarResult(0.0, Rv.zero(n), "exact-comonotone", 0.0, True, 0.0)
 
-    def norm_fn(w: np.ndarray) -> float:
-        return spec._value_arr(space, w)
-
-    comonotone = spec.rearrangement_invariant and space.is_uniform
+    comonotone = spec.rearrangement_invariant
     order = np.argsort(-np.abs(z), kind="stable")
-    # the comonotone search runs on |y| sorted down, the general one in atom order
     index = order if comonotone else np.arange(n)
+    work = FiniteProbSpace(space.probs[order]) if comonotone else space
     # the polar is positively homogeneous: solve at |y| * 2**-e, exactly
     # scaled, so that p * |y| does not underflow for subnormal y
     a, e = _pow2_scaled(np.abs(z))
-    c = space.probs[index] * a[index]
-    if comonotone:
-        starts = prefix_indicators(n)
-    else:
-        # unit vectors bound every variable; the top-k sets of |y| carry the
-        # cuts of the greedy vertex, which is optimal for Marcinkiewicz balls
-        # (the top-1 set is a unit vector already)
-        rank = np.argsort(order)
-        starts = list(np.eye(n)) + [h[rank] for h in prefix_indicators(n)[1:]]
-    res = maximize_linear_on_polytope(c, lambda w: spec.linear_piece_arr(space, w), monotone=comonotone, starts=starts)
+    c = work.probs * a[index]
+    res = maximize_linear_on_polytope(c, lambda w: spec.linear_piece_arr(work, w), monotone=comonotone)
     if res is None:
-        res = _smooth_polar(space, spec, a, norm_fn)
+        res = _smooth_polar(space, spec, a)
         if res is not None:
             res = replace(res, x=res.x[index])
     if res is None:
         # its stopping rules are not scale free, so it runs on p * |y| itself
-        res = maximize_linear_on_ball(np.ldexp(c, e), norm_fn, rng=np.random.default_rng(seed))
+        res = maximize_linear_on_ball(np.ldexp(c, e), lambda w: spec._value_arr(work, w), rng=np.random.default_rng(seed))
         res = replace(res, value=math.ldexp(res.value, -e))
     u_vals = np.empty(n)
     u_vals[index] = res.x
@@ -190,10 +175,10 @@ def polar(
     method = "comonotone" if comonotone else "subgradient"
     value = _scale_back(res.value, e)
 
-    if comonotone and res.upper is None:
-        # invariance makes every rearrangement of the profile feasible, and by
-        # the rearrangement inequality the one comonotone with |y| pays most
-        # (a certified result has nothing left to improve)
+    if comonotone and res.upper is None and space.is_uniform:
+        # on equal masses invariance makes every rearrangement of the profile
+        # feasible, and by the rearrangement inequality the one comonotone
+        # with |y| pays most (a certified result has nothing left to improve)
         arranged = np.empty(n)
         arranged[order] = np.sort(np.abs(res.x))[::-1]
         val = float(np.dot(space.probs * np.abs(z), arranged))
@@ -206,7 +191,7 @@ def polar(
     return PolarResult(value, Rv(u_vals), method, gap, res.converged, upper)
 
 
-def _smooth_polar(space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn) -> MaximizeResult | None:
+def _smooth_polar(space: FiniteProbSpace, spec: Seminorm, a: np.ndarray) -> MaximizeResult | None:
     """The exact polar at |y| = a, in atom order, for modular unit balls, the
     Amemiya dual norm and generalized Orlicz norms; None for other specs."""
     if isinstance(spec, GenOrliczNorm):
@@ -219,13 +204,13 @@ def _smooth_polar(space: FiniteProbSpace, spec: Seminorm, a: np.ndarray, norm_fn
         if found is None:
             return None
         w, lam = found
-        x = w / norm_fn(w)
+        x = w / spec._value_arr(space, w)
         upper = lam * (1.0 + _GAUGE_REL) * _ROUND_UP
         return MaximizeResult(float(np.dot(space.probs * a, x)), x, True, 1, upper)
     modular = spec.smooth_modular(space)
     if modular is None:
         return None
-    return maximize_linear_on_modular_ball(a, space.probs, modular, norm_fn)
+    return maximize_linear_on_modular_ball(a, space.probs, modular, lambda w: spec._value_arr(space, w))
 
 
 class _PolarNorm(Seminorm):

@@ -27,7 +27,6 @@ from ._optim import (
     bisect_gauge,
     gen_orlicz_dual_brackets,
     minimize_scalar_convex,
-    prefix_indicators,
 )
 from .rearrange import _sorted_prefix
 from .risk import RiskMeasureSpec, _entropic_modular, _risk_norm_arr, _risk_rows
@@ -165,6 +164,12 @@ class Seminorm(abc.ABC):
     Lp, Marcinkiewicz, Lorentz and the avar risk norm evaluate all rows at
     once with the formulas of ``_value_arr``.  The axiom checker sends it
     one trial at a time, at most n + 7 rows.
+
+    ``rearrangement_invariant`` promises an r.i. norm (Bennett & Sharpley
+    1988, ch. 2), which averaging over atom sets does not raise, not just a
+    value set by the law of |x|: on p = (1/2, 1/4, 1/4) the latter holds for
+    max(10|x1|, 5(|x2| + |x3|), |x2|, |x3|), whose polar at y = (1, .99, .98)
+    sits at x = (0.1, 0.2, 0), off the profiles that ``polar`` searches.
     """
 
     name: str = "seminorm"
@@ -758,7 +763,7 @@ def fundamental_functions(space: FiniteProbSpace, spec: Seminorm) -> Fundamental
     """
     n = space.n_atoms
     if spec.rearrangement_invariant and space.is_uniform:
-        vals = np.array([spec._value_arr(space, ind) for ind in prefix_indicators(n)])
+        vals = np.array([spec._value_arr(space, ind) for ind in np.tri(n)])
         ts = np.arange(1, n + 1) / n
         # monotone under domination, so the sup and inf both land on vals
         return FundamentalFunctions(ts, vals, vals)

@@ -96,13 +96,14 @@ def quantile(space: FiniteProbSpace, u: Rv) -> StepFunction:
     """Decreasing rearrangement of |u| as an exact step function.
 
     Atoms with equal |u| merge into a single plateau, so the representation
-    is deterministic under permutations of equal values.
+    is deterministic under permutations of equal values.  Plateaus that the
+    running sum rounds to zero width hold no t and are dropped.
     """
     _check_on_space(space, u)
     levels, weights = _quantile_levels(space.probs, u.values)
-    bp = np.concatenate([[0.0], np.cumsum(weights)])
-    bp[-1] = 1.0  # guard against cumulative rounding
-    return StepFunction(bp, levels)
+    bp = np.concatenate([[0.0], np.minimum(np.cumsum(weights[:-1]), 1.0), [1.0]])
+    keep = np.diff(bp) > 0.0
+    return StepFunction(np.append(bp[:-1][keep], 1.0), levels[keep])
 
 
 def quantile_integral(q: StepFunction, t: float) -> float:

@@ -54,8 +54,10 @@ class FiniteProbSpace:
         # null sets, and a zero atom would make quantile functions ambiguous.
         if np.any(probs <= 0.0):
             raise ValueError("all atom probabilities must be strictly positive")
-        if abs(float(probs.sum()) - 1.0) > _LINEAR:
-            raise ValueError(f"probabilities must sum to 1, got {probs.sum()!r}")
+        # fsum is exactly rounded, so a relabelled space passes as well
+        total = math.fsum(probs)
+        if abs(total - 1.0) > _LINEAR:
+            raise ValueError(f"probabilities must sum to 1, got {total!r}")
         object.__setattr__(self, "probs", probs)
 
     @classmethod

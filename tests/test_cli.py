@@ -16,6 +16,20 @@ def run(capsys, *args):
     return code, (json.loads(out) if out else None)
 
 
+@pytest.mark.parametrize("command", [["rearrange"], ["check", "--config", FIXTURES / "lp1.cfg"]], ids=["rearrange", "check"])
+def test_an_atom_below_half_an_ulp_of_its_running_mass(capsys, tmp_path, command):
+    # the running mass 0.5 + 1e-17 rounds to 0.5: quantile used to refuse
+    # the repeated breakpoint, and both commands exited 3
+    path = tmp_path / "tiny.csv"
+    path.write_text("prob,x\n0.5,2\n1e-17,1\n0.5,0\n")
+    code, out = run(capsys, command[0], "--scenario", path, *command[1:])
+    assert code == 0
+    if command[0] == "rearrange":
+        assert out["breakpoints"] == [0.0, 0.5, 1.0] and out["values"] == [2.0, 0.0]
+    else:
+        assert out["all_pass"]
+
+
 def test_norm_lp1(capsys):
     code, out = run(
         capsys, "norm", "--scenario", FIXTURES / "scenario_4132.csv", "--config", FIXTURES / "lp1.cfg"

@@ -406,3 +406,20 @@ def test_singular_part_report():
     assert report.max_error <= 1e-12
     assert report.singular_part_trivial
     assert report.dual_dimension == 4
+
+
+def test_polar_relabels_a_space_whose_permuted_sum_rounds_past_the_tolerance():
+    # these masses sum to 1 - 9.9998e-13, inside the 1e-12 tolerance, but
+    # summed in the order of |y| below (atoms 2, 3, 5, 4, 0, 1) they read
+    # 1 - 1.00009e-12: the sum check must not depend on the atom order
+    probs = np.array([0.23288278309738944, 0.19248173211572367, 0.15046400403945892,
+                      0.30748620510542535, 0.034799218981849935, 0.08188605665915275])
+    space = FiniteProbSpace(probs)
+    assert abs(float(probs[[2, 3, 5, 4, 0, 1]].sum()) - 1.0) > 1e-12
+    FiniteProbSpace(probs[[2, 3, 5, 4, 0, 1]])
+    y = Rv([2.0, 1.0, 6.0, 5.0, 3.0, 4.0])
+    res = polar(space, LorentzNorm(phi_sqrt()), y)
+    assert res.method == "comonotone" and res.converged
+    assert res.value == pytest.approx(marcinkiewicz_norm(space, y, phi_sqrt()), rel=1e-12)
+    l2 = CustomSeminorm(lambda s, x: float(np.sqrt(np.dot(s.probs, x * x))), rearrangement_invariant=True)
+    assert polar(space, l2, y).value == pytest.approx(lp_norm(space, y, 2.0), rel=1e-6)

@@ -64,6 +64,18 @@ def test_quantile_ties_merge():
     assert np.allclose(q.breakpoints, [0, 0.5, 1])
 
 
+def test_quantile_drops_plateaus_the_running_sum_rounds_away():
+    # 1e-17 is below half an ulp of the running mass 0.5, so the running sum
+    # repeats the breakpoint 0.5: no t in [0, 1] lies on the plateau of 1
+    q = quantile(FiniteProbSpace([0.5, 1e-17, 0.5]), Rv([2.0, 1.0, 0.0]))
+    assert np.array_equal(q.breakpoints, [0.0, 0.5, 1.0])
+    assert np.array_equal(q.values, [2.0, 0.0])
+    # a running sum past 1 before the last atom ends the function at 1
+    q = quantile(FiniteProbSpace([0.5 + 1e-13, 0.5, 1e-14]), Rv([2.0, 1.0, 0.0]))
+    assert np.array_equal(q.breakpoints, [0.0, 0.5 + 1e-13, 1.0])
+    assert np.array_equal(q.values, [2.0, 1.0])
+
+
 def test_quantile_integral_examples():
     q = quantile(UNIFORM4, U4132)
     assert quantile_integral(q, 0.5) == pytest.approx(1.75, abs=1e-12)
