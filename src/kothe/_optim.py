@@ -331,12 +331,7 @@ def _feasible_interval(w: np.ndarray, d: np.ndarray) -> tuple[float, float]:
     return min(t_lo, 0.0), max(t_hi, 0.0)
 
 
-def maximize_linear_on_ball(
-    c: np.ndarray,
-    norm_fn: Callable[[np.ndarray], float],
-    *,
-    rng: np.random.Generator,
-) -> MaximizeResult:
+def maximize_linear_on_ball(c: np.ndarray, norm_fn: Callable[[np.ndarray], float]) -> MaximizeResult:
     """Maximize <c, w> over {w >= 0 : norm_fn(w) <= 1}; uncertified.
 
     norm_fn must be convex, positively homogeneous and nonnegative on the
@@ -345,10 +340,13 @@ def maximize_linear_on_ball(
     below the optimum except on flats, which the restarts and the random
     directions are there to cross.  Three fixed starts and six random ones
     take 40 projected-subgradient steps each, and the best two are polished
-    by at most 18 passes of line searches.  This is the fallback for
-    seminorms with neither analytic facets nor a modular unit ball.
+    by at most 18 passes of line searches.  The random draws come from one
+    fixed stream, so the result depends on c and norm_fn alone.  This is the
+    fallback for seminorms with neither analytic facets nor a modular unit
+    ball.
     """
     n = c.size
+    rng = np.random.default_rng(0)
     evals = 0
 
     def ratio(w: np.ndarray) -> tuple[float, float]:

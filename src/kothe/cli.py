@@ -285,8 +285,7 @@ def cmd_dual(args) -> int:
     scenario = _get_scenario(args)
     spec = _as_seminorm(parse_config(args.config, scenario.space.n_atoms))
     y = scenario.column(args.column)
-    seed = args.seed if args.seed is not None else 0
-    res = polar(scenario.space, spec, y, seed=seed)
+    res = polar(scenario.space, spec, y)
     dual = dual_spec_of(scenario.space, spec)
     closed = dual.value(scenario.space, y) if dual is not None else None
     payload = {
@@ -322,9 +321,8 @@ def cmd_risk(args) -> int:
     if tag != "risk":
         raise ConfigError("the risk command needs an avar or entropic config")
     u = scenario.column(args.column)
-    seed = args.seed if args.seed is not None else 0
-    dual = risk_dual_norm(scenario.space, rho, u, seed=seed)
-    pen = penalty(scenario.space, rho, Rv(np.abs(u.values)), seed=seed)
+    dual = risk_dual_norm(scenario.space, rho, u)
+    pen = penalty(scenario.space, rho, Rv(np.abs(u.values)))
     _emit(
         {
             "rho": evaluate_risk(scenario.space, rho, u),
@@ -379,7 +377,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         u = Rv(rng.standard_normal(n))
         y = Rv(rng.standard_normal(n))
         lhs = pairing(space, u, y)
-        rhs = spec.value(space, u) * polar(space, spec, y, seed=seed).value
+        rhs = spec.value(space, u) * polar(space, spec, y).value
         worst_holder = max(worst_holder, lhs - rhs)
     checks.append(CheckItem("holder", worst_holder <= (_HOLDER_SLACK if slack is None else slack), worst_holder))
 
@@ -391,7 +389,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         worst_bipolar = 0.0
         for _ in range(2):
             u = Rv(rng.standard_normal(n))
-            worst_bipolar = max(worst_bipolar, verify_bipolar(space, spec, u, seed=seed).rel_gap)
+            worst_bipolar = max(worst_bipolar, verify_bipolar(space, spec, u).rel_gap)
         checks.append(CheckItem("bipolar", worst_bipolar <= (1e-5 if slack is None else slack), worst_bipolar))
 
     sandwich_target = None
@@ -405,7 +403,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         worst_dev = 0.0
         for _ in range(2):
             y = Rv(rng.standard_normal(n))
-            rep = verify_sandwich(space, sandwich_target, y, seed=seed)
+            rep = verify_sandwich(space, sandwich_target, y)
             worst_dev = max(worst_dev, rep.lower - rep.value, rep.value - 2.0 * rep.lower)
         checks.append(CheckItem("sandwich", worst_dev <= (_SANDWICH_SLACK if slack is None else slack), worst_dev))
 
@@ -414,7 +412,7 @@ def _check_suite(scenario: Scenario, parsed, seed: int, slack: float | None) -> 
         worst_agree = 0.0
         for _ in range(3):
             y = Rv(rng.standard_normal(n))
-            res = polar(space, spec, y, seed=seed)
+            res = polar(space, spec, y)
             worst_agree = max(worst_agree, abs(res.value - dual.value(space, y)))
         checks.append(CheckItem("lorentz_polar_agreement", worst_agree <= 1e-5, worst_agree))
 
@@ -446,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="CSV scenario file")
         p.add_argument("--column", help="value column name (default: first)")
         p.add_argument("--random", type=int, metavar="N", help="use a random N-atom scenario")
-        p.add_argument("--seed", type=int, help="seed for anything randomized")
+        p.add_argument("--seed", type=int, help="seed of --random and of the draws of check")
         if config:
             p.add_argument("--config", required=True, help="key=value spec file")
 

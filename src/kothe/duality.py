@@ -25,7 +25,6 @@ certificates (the ``gap`` field), the dual ball of ``verify_bipolar`` and
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,33 +100,24 @@ class PolarResult:
     upper: float | None = None
 
 
-# masses each seminorm passed the spot check on (sorted for an invariant one: relabelling keeps it)
-_SPOT_CACHE: "weakref.WeakKeyDictionary[Seminorm, set[bytes]]" = weakref.WeakKeyDictionary()
-
-
 def _spot_check(space: FiniteProbSpace, spec: Seminorm) -> None:
     """Cheap randomized screen: symmetry, homogeneity, subadditivity and
     monotonicity under domination (the solidity axiom) must hold before the
     sign and rearrangement reductions below are valid.  Only specs whose
-    axioms a callback decides are screened, once per space; it only raises."""
-    key = (np.sort(space.probs) if spec.rearrangement_invariant else space.probs).tobytes()
-    if spec.axioms_by_construction or key in _SPOT_CACHE.get(spec, ()):
+    axioms a callback decides are screened, the inner seminorm of a
+    generalized Orlicz norm first; it only raises."""
+    if spec.axioms_by_construction:
         return
+    if isinstance(spec, GenOrliczNorm):
+        spec._ensure_inner(space)
     report = check_axioms(space, spec, trials=5, seed=417)
     needed = {"nonnegative", "symmetry", "homogeneity", "subadditivity", "solid_monotone"}
     bad = [i.name for i in report.items if i.name in needed and not i.passed]
     if bad:
         raise ValueError(f"seminorm fails the axiom spot check: {bad}")
-    _SPOT_CACHE.setdefault(spec, set()).add(key)
 
 
-def polar(
-    space: FiniteProbSpace,
-    spec: Seminorm,
-    y: Rv,
-    *,
-    seed: int = 0,
-) -> PolarResult:
+def polar(space: FiniteProbSpace, spec: Seminorm, y: Rv) -> PolarResult:
     """sup{E[u*y] : seminorm(u) <= 1} by direct optimization.
 
     By solidity and symmetry the optimal u has u_i * y_i >= 0 and depends on
@@ -141,12 +131,18 @@ def polar(
     ``smooth_modular`` (Lp, power and exp Luxemburg, the entropic risk norm)
     and their Amemiya dual norms exactly by one Lagrange multiplier,
     generalized Orlicz norms by cutting planes on their inner seminorm.  The
-    rest go to the uncertified line search, seeded by ``seed``.  The
+    rest go to the uncertified line search, whose random directions come
+    from one fixed stream, so equal inputs give equal outputs.  The
     reductions need the axioms, so specs without ``axioms_by_construction``
-    first pass ``_spot_check``.
+    first pass ``_spot_check``, on every call.
     """
     _check_on_space(space, y, "y")
     _spot_check(space, spec)
+    return _polar(space, spec, y)
+
+
+def _polar(space: FiniteProbSpace, spec: Seminorm, y: Rv) -> PolarResult:
+    """``polar`` without the axiom screen, for a spec already screened."""
     n = space.n_atoms
     z = y.values
     if not np.any(z != 0.0):
@@ -167,7 +163,7 @@ def polar(
             res = replace(res, x=res.x[index])
     if res is None:
         # its stopping rules are not scale free, so it runs on p * |y| itself
-        res = maximize_linear_on_ball(np.ldexp(c, e), lambda w: spec._value_arr(work, w), rng=np.random.default_rng(seed))
+        res = maximize_linear_on_ball(np.ldexp(c, e), lambda w: spec._value_arr(work, w))
         res = replace(res, value=math.ldexp(res.value, -e))
     u_vals = np.empty(n)
     u_vals[index] = res.x
@@ -224,18 +220,17 @@ class _PolarNorm(Seminorm):
     """
 
     name = "numeric-dual"
-    axioms_by_construction = True  # each inner polar screens the primal itself
+    axioms_by_construction = True  # verify_bipolar screens the primal before it builds one
 
-    def __init__(self, primal: Seminorm, seed: int):
+    def __init__(self, primal: Seminorm):
         self.primal = primal
-        self.seed = seed
         self.rearrangement_invariant = primal.rearrangement_invariant
 
     def _value_arr(self, space, x):
-        return polar(space, self.primal, Rv(x), seed=self.seed).value
+        return _polar(space, self.primal, Rv(x)).value
 
     def linear_piece_arr(self, space, a):
-        u = polar(space, self.primal, Rv(a), seed=self.seed).maximizer
+        u = _polar(space, self.primal, Rv(a)).maximizer
         return space.probs * np.abs(u.values)
 
 
@@ -266,17 +261,10 @@ def dual_spec_of(space: FiniteProbSpace, spec: Seminorm) -> Seminorm | None:
     return None
 
 
-def verify_holder(
-    space: FiniteProbSpace,
-    spec: Seminorm,
-    u: Rv,
-    y: Rv,
-    *,
-    seed: int = 0,
-) -> bool:
+def verify_holder(space: FiniteProbSpace, spec: Seminorm, u: Rv, y: Rv) -> bool:
     """Check E[u*y] <= seminorm(u) * polar(y) + 1e-8."""
     lhs = pairing(space, u, y)
-    rhs = spec.value(space, u) * polar(space, spec, y, seed=seed).value
+    rhs = polar(space, spec, y).value * spec._value_arr(space, u.values)
     return lhs <= rhs + _HOLDER_SLACK
 
 
@@ -288,25 +276,18 @@ class BipolarReport:
     converged: bool
 
 
-def verify_bipolar(
-    space: FiniteProbSpace,
-    spec: Seminorm,
-    u: Rv,
-    *,
-    seed: int = 0,
-) -> BipolarReport:
+def verify_bipolar(space: FiniteProbSpace, spec: Seminorm, u: Rv) -> BipolarReport:
     """Round-trip the polar: sup{E[u*y] : polar-value(y) <= 1} vs seminorm(u).
 
     The dual unit ball is gauged by the closed form of ``dual_spec_of`` when
     there is one; otherwise by ``_PolarNorm``, whose cutting planes are the
     witnesses of inner polars, so the outer polar runs Kelley's method on
-    them.  seed reaches every inner polar.
+    them.  The primal is screened once, here, and not by the inner polars.
     """
-    dual = dual_spec_of(space, spec)
-    if dual is None:
-        dual = _PolarNorm(spec, seed)
-    res = polar(space, dual, u, seed=seed)
-    primal = spec.value(space, u)
+    _spot_check(space, spec)
+    dual = dual_spec_of(space, spec) or _PolarNorm(spec)
+    res = polar(space, dual, u)
+    primal = spec._value_arr(space, u.values)
     rel_gap = abs(res.value - primal) / max(abs(primal), 1e-30)
     return BipolarReport(primal, res.value, rel_gap, res.converged)
 
@@ -319,13 +300,7 @@ class SandwichReport:
     ok: bool
 
 
-def verify_sandwich(
-    space: FiniteProbSpace,
-    hspec,
-    y: Rv,
-    *,
-    seed: int = 0,
-) -> SandwichReport:
+def verify_sandwich(space: FiniteProbSpace, hspec, y: Rv) -> SandwichReport:
     """Check gauge <= dual norm <= 2 * gauge for the Luxemburg-type pairs.
 
     hspec may be a MusielakFamily (Orlicz dual norm against the conjugate
@@ -337,8 +312,8 @@ def verify_sandwich(
         lower = luxemburg_norm(space, y, hspec.conjugate())
         value = amemiya_dual_norm(space, y, hspec)
     elif isinstance(hspec, RiskMeasureSpec):
-        lower = penalty_gauge(space, hspec, y, seed=seed)
-        value = _dual_inf_form(space, hspec, np.abs(y.values), seed=seed)[1]
+        lower = penalty_gauge(space, hspec, y)
+        value = _dual_inf_form(space, hspec, np.abs(y.values))[1]
     elif isinstance(hspec, GenOrliczNorm):
         res = gen_orlicz_dual_norm(space, y, hspec.phi, hspec.inner)
         lower, value = res.max_form, res.value

@@ -8,7 +8,6 @@ properties verified by the randomized axiom checker rather than trusted.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -74,17 +73,19 @@ class RiskMeasureSpec:
             return f"entropic({self.theta:g})"
         return "custom-risk"
 
-    @functools.cached_property
-    def _phi(self):
-        """phi_t(s) = min(s, t) / t, whose Lorentz norm is avar(t); built once
-        per spec, without phi_tabulated's checks, as it passes them."""
+    def __post_init__(self):
+        """An avar spec holds phi_t(s) = min(s, t) / t, whose Lorentz norm is
+        avar(t), from birth, built without phi_tabulated's checks, as it
+        passes them."""
+        if self.kind != "avar":
+            return
         from .norms import PhiConcave  # deferred: norms builds on this module
 
         ts = np.unique([0.0, self.level, 1.0])
         ys = np.minimum(ts, self.level) / self.level
         ts.setflags(write=False)
         ys.setflags(write=False)
-        return PhiConcave("tabulated", ts=ts, ys=ys)
+        object.__setattr__(self, "_phi", PhiConcave("tabulated", ts=ts, ys=ys))
 
 
 def avar(level: float) -> RiskMeasureSpec:
@@ -213,13 +214,7 @@ def _confirm_ray(space: FiniteProbSpace, rho: RiskMeasureSpec, xi: np.ndarray, z
     return v4 > v2 > v1 > 0.0
 
 
-def penalty(
-    space: FiniteProbSpace,
-    rho: RiskMeasureSpec,
-    y: Rv,
-    *,
-    seed: int = 0,
-) -> PenaltyResult:
+def penalty(space: FiniteProbSpace, rho: RiskMeasureSpec, y: Rv) -> PenaltyResult:
     """sup over nonnegative bounded xi of E[xi*y] - rho(xi), for y >= 0.
 
     For avar the objective is concave, positively homogeneous and linear on
@@ -231,7 +226,7 @@ def penalty(
     certifies an infinite supremum.  The entropic case is unbounded exactly
     when E[y] > 1, along the constants ray, and has its KKT point as
     maximizer otherwise.  A custom rho is searched over indicators and
-    random directions drawn from ``seed``.
+    random directions, drawn from one fixed stream.
     """
     _check_on_space(space, y, "y")
     z = y.values
@@ -262,7 +257,7 @@ def penalty(
             return PenaltyResult(_INF, False, xi)
         return PenaltyResult(max(float(viol[k]), 0.0), True, None, xi)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best_val, best_xi = 0.0, np.zeros(n)
 
     def candidates():
@@ -316,13 +311,7 @@ def _witness(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, res: P
     return float(np.dot(space.probs, xi * z)), r, r if rho.positively_homogeneous else float(xi.max())
 
 
-def penalty_gauge(
-    space: FiniteProbSpace,
-    rho: RiskMeasureSpec,
-    y: Rv,
-    *,
-    seed: int = 0,
-) -> float:
+def penalty_gauge(space: FiniteProbSpace, rho: RiskMeasureSpec, y: Rv) -> float:
     """inf{beta > 0 : penalty(|y|/beta) <= 1}, by Newton steps in s = 1/beta.
 
     penalty(s*z), z = |y|, is convex in s with tangent s*E[xi*z] - rho(xi)
@@ -340,7 +329,7 @@ def penalty_gauge(
     lo, hi = 0.0, 1.0 / float(np.dot(space.probs, z))
     s = hi
     for _ in range(100):
-        res = penalty(space, rho, Rv(s * z), seed=seed)
+        res = penalty(space, rho, Rv(s * z))
         a, r, cap = _witness(space, rho, z, res)
         cut = (cap if rho.positively_homogeneous or not res.bounded else 1.0 + r) / a if a > 0.0 else _INF
         feasible = (s <= cut) if rho.positively_homogeneous else (res.bounded and res.value <= 1.0)
@@ -372,7 +361,7 @@ def dual_gauge_exact(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray
     return _scale_back(dual._value_arr(space, a), e)
 
 
-def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, *, seed: int = 0) -> tuple:
+def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray) -> tuple:
     """(beta, h(beta), lower, penalty calls, stop) for the infimum over beta of
     h(beta) = beta * (1 + penalty(z/beta)), with lower <= inf h <= h(beta).
 
@@ -396,7 +385,7 @@ def _dual_inf_form(space: FiniteProbSpace, rho: RiskMeasureSpec, z: np.ndarray, 
     ends = {-1: None, 1: None}  # the nearest finite probes with h' < 0, h' > 0
     beta, best_beta, best, dead, last = floor, floor, _INF, 0.0, 0
     for calls in range(1, 101):
-        res = penalty(space, rho, Rv(z / beta), seed=seed)
+        res = penalty(space, rho, Rv(z / beta))
         a, r, cap = _witness(space, rho, z, res)
         lines.append((a, 1.0 - r))
         ratio = a / cap if cap > 0.0 else 0.0
@@ -439,13 +428,7 @@ class RiskDualResult:
     stop: str              # "gap" (bracket within 1e-13), "budget" or "zero"
 
 
-def risk_dual_norm(
-    space: FiniteProbSpace,
-    rho: RiskMeasureSpec,
-    y: Rv,
-    *,
-    seed: int = 0,
-) -> RiskDualResult:
+def risk_dual_norm(space: FiniteProbSpace, rho: RiskMeasureSpec, y: Rv) -> RiskDualResult:
     """Dual norm of y against the risk norm of rho.
 
     Computes inf over beta of beta * penalty(|y|/beta) + beta by cuts on the
@@ -457,12 +440,12 @@ def risk_dual_norm(
     z = np.abs(y.values)
     if not np.any(z > 0.0):
         return RiskDualResult(0.0, 0.0, 0.0, 0.0, 0.0, 0, "zero")
-    beta, value, lower, calls, stop = _dual_inf_form(space, rho, z, seed=seed)
+    beta, value, lower, calls, stop = _dual_inf_form(space, rho, z)
 
     from .duality import polar  # deferred: duality builds on this module
     from .norms import RiskNorm
 
-    direct = polar(space, RiskNorm(rho), y, seed=seed)
+    direct = polar(space, RiskNorm(rho), y)
     gap = abs(value - direct.value)
     if gap > 1e-6 * max(1.0, abs(value)):
         raise ConvergenceError(

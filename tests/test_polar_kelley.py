@@ -154,8 +154,8 @@ def test_kelley_polar_is_homogeneous(name, uniform, scale):
 @pytest.mark.parametrize("n", [16, 50])
 @pytest.mark.parametrize("name", ["marcinkiewicz", "lorentz", "avar"])
 def test_kelley_polar_converges_on_larger_nonuniform_spaces(name, n):
-    # these need up to 180 cuts, and some of them a fresh refactorization of
-    # the warm-started tableau before the bound closes
+    # on the atoms relabelled in the order of |y| each of these closes on its
+    # first LP: n + 1 facet calls, as test_invariant_polars_close_on_the_first_lp counts
     space = FiniteProbSpace(np.random.default_rng(3).dirichlet(np.ones(n)))
     spec = _spec(name, space)
     for k in range(10):
@@ -171,8 +171,9 @@ def test_kelley_polar_converges_on_larger_nonuniform_spaces(name, n):
 
 
 _PHI_TAB = phi_tabulated([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
-# Marcinkiewicz polars run to the cut budget (about 0.3 s each) on a third
-# of the skewed spaces, so they get fewer cases
+# the Marcinkiewicz counts date from polars that ran to the cut budget; each
+# case now takes at most n + 2 facet calls and about 1 ms, though about a
+# quarter of the Marcinkiewicz polars still stop unconverged on these masses
 _SKEWED_CASES = {
     "L1": 200,
     "Linf": 200,
@@ -402,7 +403,7 @@ _FACET_FAMILIES = {
     "lorentz_tabulated": lambda space: LorentzNorm(_PHI_TAB),
     "avar": lambda space: RiskNorm(avar(T)),
     "avar_dual": lambda space: dual_spec_of(space, RiskNorm(avar(T))),
-    "numeric_dual_l1": lambda space: _PolarNorm(LpNorm(1.0), 0),
+    "numeric_dual_l1": lambda space: _PolarNorm(LpNorm(1.0)),
 }
 
 
