@@ -157,6 +157,48 @@ def _power_gauge(a: np.ndarray, coef: np.ndarray, k: np.ndarray) -> float:
     )
 
 
+def _power_gauge_rows(a: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``_power_gauge`` of each row of a, coef and k alike: its start, and
+    ``newton_gauge``'s steps on all rows at once (faster than it on many)."""
+    w = coef * a**k
+    s0 = [ws ** (-1.0 / km) * (1.0 + 2.0**-20) for ws, km in zip(w.sum(axis=1).tolist(), k.max(axis=1).tolist())]
+    hi, lo, out = np.array(s0), np.empty(len(a)), np.full(len(a), np.nan)  # NaN: root not yet found
+
+    def g(s: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.vecdot(w[rows], s[:, None] ** k[rows]) - 1.0
+    g_hi, g_lo = g(hi, np.arange(len(a))), np.empty(len(a))
+    up = np.flatnonzero(g_hi < 0.0)
+    while up.size:  # double hi while g(hi) < 0
+        hi[up] *= 2.0
+        out[up[hi[up] > 1e300]] = 0.0
+        up = up[hi[up] <= 1e300]
+        g_hi[up] = g(hi[up], up)
+        up = up[g_hi[up] < 0.0]
+    down = np.flatnonzero(np.isnan(out))
+    lo[down] = hi[down] / 2.0
+    while down.size:  # halve lo while g(lo) > 0
+        g_lo[down] = g(lo[down], down)
+        down = down[g_lo[down] > 0.0]
+        hi[down], g_hi[down] = lo[down], g_lo[down]
+        lo[down] /= 2.0
+        out[down[lo[down] < 1e-300]] = _INF
+        down = down[lo[down] >= 1e-300]
+    rows = np.flatnonzero(np.isnan(out))
+    s, val, lo, hi = hi[rows], g_hi[rows], lo[rows], hi[rows]
+    for _ in range(100):
+        hi, lo = np.where(val > 0.0, s, hi), np.where(val > 0.0, lo, s)
+        nxt = s - val / np.vecdot(w[rows] * k[rows], s[:, None] ** (k[rows] - 1.0))
+        nxt = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
+        stop = np.abs(nxt - s) <= _GAUGE_REL * s
+        out[rows[stop]] = 1.0 / nxt[stop]
+        rows, s, lo, hi = (q[~stop] for q in (rows, nxt, lo, hi))
+        if not rows.size:
+            return out
+        val = g(s, rows)
+    out[rows] = 1.0 / s
+    return out
+
+
 def minimize_scalar_convex(
     f: Callable[[float], float],
     *,

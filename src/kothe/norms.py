@@ -21,6 +21,7 @@ from ._optim import (
     GenOrliczDualResult,
     SmoothModular,
     _power_gauge,
+    _power_gauge_rows,
     _scaled_gauge,
     amemiya_multiplier,
     bisect_gauge,
@@ -34,7 +35,8 @@ from .space import (
     FiniteProbSpace,
     Rv,
     _check_on_space,
-    _shrinking_rows,
+    _shrinking_mask,
+    _trial_blocks,
     _WorstCase,
 )
 from .young import MusielakFamily, YoungFunction
@@ -160,9 +162,10 @@ class Seminorm(abc.ABC):
     1e-15 relative.  Neither takes a tolerance: the gauges stop at the fixed
     relative width ``_optim._GAUGE_REL``.  By default ``_value_rows`` calls
     ``_value_arr`` once per row, so a callback only ever sees 1-D arrays;
-    Lp, Marcinkiewicz, Lorentz and the avar risk norm evaluate all rows at
-    once with the formulas of ``_value_arr``.  The axiom checker sends it
-    one trial at a time, at most n + 7 rows.
+    Lp, Marcinkiewicz, Lorentz, Luxemburg of powers p > 1 and the avar risk
+    norm evaluate all rows at once with the arithmetic of ``_value_arr``.
+    The axiom checker sends it whole trials, at most 2**16 entries a block
+    unless one trial is larger (``space._trial_blocks``).
 
     ``rearrangement_invariant`` promises an r.i. norm (Bennett & Sharpley
     1988, ch. 2), which averaging over atom sets does not raise, not just a
@@ -291,6 +294,24 @@ class LuxemburgNorm(Seminorm):
         return _scaled_gauge(
             a, lambda z: bisect_gauge(lambda b: self.family.modular(space.probs, z / b) <= 1.0)
         )
+
+    def _value_rows(self, space, X):
+        modular = self.smooth_modular(space)
+        if modular is None or modular.kind != "power":  # x, e^x - 1 and tabulated go row by row
+            return super()._value_rows(space, X)
+        # _value_arr's masked gauge, one Newton per count of nonzero atoms, so each
+        # row sums its terms in _value_arr's order; a count of its own goes alone
+        counts, out = np.count_nonzero(X, axis=1), np.zeros(len(X))
+        size = np.bincount(counts)  # rows per count
+        for i in np.flatnonzero(size[counts] == 1):
+            out[i] = self._value_arr(space, X[i])
+        for c in np.flatnonzero(size[1:] > 1) + 1:  # a count of 0 reads 0
+            rows = np.flatnonzero(counts == c)
+            cols = np.nonzero(X[rows])[1].reshape(-1, c)  # each row's nonzero atoms, in order
+            a = np.abs(X[rows[:, None], cols])
+            m = a.max(axis=1)
+            out[rows] = m * _power_gauge_rows(a / m[:, None], (space.probs * modular.scale)[cols], modular.rate[cols])
+        return out
 
     def smooth_modular(self, space):
         _check_family_size(self.family, space.n_atoms)
@@ -693,43 +714,43 @@ def check_axioms(
     along shrinking atom sets, and finiteness on indicators.  Solidity and
     decomposability of the induced space reduce on a finite space to the
     domination axiom plus finiteness on indicators, which is what is
-    reported.  Each trial's n + 7 probes go to ``spec._value_rows`` as one
-    matrix.
+    reported.  The trials are drawn first, then evaluated by ``_value_rows``
+    in blocks (``_trial_blocks``) of n + 7 rows per trial.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     n = space.n_atoms
-    worst = _WorstCase(-_INF)
-    c_lower, c_upper = _INF, 0.0
-    indicator_ok = True
+    U, V, D = np.empty((3, trials, n))
+    ind, alpha, orders = np.zeros((trials, n)), np.empty(trials), np.tile(np.arange(n), (trials, 1))
     for k in range(trials):
-        u = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
-        v = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
-        alpha = float(np.exp(rng.uniform(-2.0, 2.0)))
-        dominated = u * rng.uniform(0.0, 1.0, size=n) * (2.0 * rng.integers(0, 2, size=n) - 1.0)
-        chain = _shrinking_rows(u, rng)
-        ind = np.zeros(n)
-        ind[rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1.0
-        # one row evaluation per trial, n + 7 rows: u, v, -u, alpha u, u + v,
-        # the dominated vector, the shrinking chain and the indicator
-        vals = spec._value_rows(space, np.vstack([u, v, -u, alpha * u, u + v, dominated, chain, ind]))
-        pu, pv, p_neg, p_alpha, p_sum, p_dom = vals[:6].tolist()
-        scale = max(1.0, abs(pu), abs(pv))
-        worst.bump("nonnegative", -pu / scale, u)
-        worst.bump("symmetry", abs(p_neg - pu) / scale, u)
-        worst.bump("homogeneity", abs(p_alpha - alpha * pu) / (alpha * scale), u)
-        worst.bump("subadditivity", (p_sum - pu - pv) / scale, u + v)
-        worst.bump("solid_monotone", (p_dom - pu) / scale, dominated)
-        l1 = float(np.dot(space.probs, np.abs(u)))
-        linf = float(np.abs(u).max())
-        if l1 > 0 and np.isfinite(pu):
-            c_lower = min(c_lower, pu / l1)
-        if linf > 0 and np.isfinite(pu):
-            c_upper = max(c_upper, pu / linf)
-        worst.bump_chain("order_continuity", pu, vals[6:-1], chain, scale)
-        if not np.isfinite(vals[-1]):
-            indicator_ok = False
+        U[k] = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
+        V[k] = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
+        alpha[k] = np.exp(rng.uniform(-2.0, 2.0))
+        D[k] = U[k] * rng.uniform(0.0, 1.0, size=n) * (2.0 * rng.integers(0, 2, size=n) - 1.0)
+        rng.shuffle(orders[k])
+        ind[k, rng.choice(n, size=rng.integers(1, n + 1), replace=False)] = 1.0
+    worst, c_lower, c_upper, indicator_ok = _WorstCase(-_INF), _INF, 0.0, True
+    for b in _trial_blocks(trials, n + 7, n):
+        u, v, a = U[b], V[b], alpha[b]
+        # per trial: u, v, -u, alpha u, u + v, dominated, the shrinking chain, the indicator
+        probes = np.zeros((len(u), n + 7, n))
+        probes[:, :6] = np.stack([u, v, -u, a[:, None] * u, u + v, D[b]], axis=1)
+        np.copyto(probes[:, 6:-1], u[:, None, :], where=_shrinking_mask(orders[b]))
+        probes[:, -1] = ind[b]
+        vals = spec._value_rows(space, probes.reshape(-1, n)).reshape(probes.shape[:2])
+        pu, pv, p_neg, p_alpha, p_sum, p_dom = vals[:, :6].T
+        scale = np.fmax(1.0, np.fmax(np.abs(pu), np.abs(pv)))  # max(1, |pu|, |pv|), blind to NaN
+        worst.bump_rows("nonnegative", -pu / scale, lambda i: u[i])
+        worst.bump_rows("symmetry", np.abs(p_neg - pu) / scale, lambda i: u[i])
+        worst.bump_rows("homogeneity", np.abs(p_alpha - a * pu) / (a * scale), lambda i: u[i])
+        worst.bump_rows("subadditivity", (p_sum - pu - pv) / scale, lambda i: u[i] + v[i])
+        worst.bump_rows("solid_monotone", (p_dom - pu) / scale, lambda i: D[b][i])
+        l1, linf, ok = np.vecdot(np.abs(u), space.probs), np.abs(u).max(axis=1), np.isfinite(pu)
+        c_lower = min([c_lower, *(pu / l1)[ok & (l1 > 0)].tolist()])
+        c_upper = max([c_upper, *(pu / linf)[ok & (linf > 0)].tolist()])
+        worst.bump_chain("order_continuity", pu, vals[:, 6:-1], probes[:, 6:-1], scale)
+        indicator_ok = indicator_ok and bool(np.isfinite(vals[:, -1]).all())
 
     items = [worst.item(k, _AXIOM_SLACK) for k in ("nonnegative", "symmetry", "homogeneity", "subadditivity")]
     items += [

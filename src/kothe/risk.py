@@ -29,7 +29,8 @@ from .space import (
     _check_on_space,
     _pow2_scaled,
     _scale_back,
-    _shrinking_rows,
+    _shrinking_mask,
+    _trial_blocks,
     _WorstCase,
 )
 
@@ -472,29 +473,34 @@ def check_risk_axioms(
 ) -> RiskAxiomReport:
     """Randomized verification of the risk-measure axioms on this space.
 
-    Each trial's n + 6 probes go to ``_risk_rows`` as one matrix."""
+    As ``check_axioms`` does it, by ``_risk_rows``, with n + 6 rows per trial."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     n = space.n_atoms
     zero_gap = abs(_risk_arr(space, rho, np.zeros(n)))
     items = [CheckItem("zero", zero_gap <= _AXIOM_SLACK, zero_gap)]
+    U, V, lift = np.empty((3, trials, n))
+    alpha, orders = np.empty(trials), np.tile(np.arange(n), (trials, 1))
+    for k in range(trials):
+        U[k] = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
+        V[k] = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
+        alpha[k] = rng.standard_normal()
+        lift[k] = np.abs(rng.standard_normal(n))
+        rng.shuffle(orders[k])
     worst = _WorstCase(0.0)
-    for _ in range(trials):
-        u = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
-        v = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
-        scale = max(1.0, float(np.abs(u).max()), float(np.abs(v).max()))
-        alpha = float(rng.standard_normal())
-        upper = u + np.abs(rng.standard_normal(n))
-        mid = 0.5 * (u + v)
-        a = np.abs(u)
-        chain = _shrinking_rows(a, rng)
-        # one row evaluation per trial: u + alpha, u, upper, v, mid, |u| and its chain
-        vals = _risk_rows(space, rho, np.vstack([u + alpha, u, upper, v, mid, a, chain]))
-        r_shift, ru, r_upper, rv, r_mid, ra = vals[:6].tolist()
-        worst.bump("translation", abs(r_shift - ru - alpha) / scale, u)
-        worst.bump("monotone", (ru - r_upper) / scale, u)
-        worst.bump("convex", (r_mid - 0.5 * (ru + rv)) / scale, mid)
-        worst.bump_chain("lebesgue", ra, vals[6:], chain, scale)
+    for b in _trial_blocks(trials, n + 6, n):
+        u, v, a = U[b], V[b], np.abs(U[b])
+        scale = np.maximum(1.0, np.maximum(a.max(axis=1), np.abs(v).max(axis=1)))
+        # per trial: u + alpha, u, an upper bound of u, v, their midpoint, |u| and its chain
+        probes = np.zeros((len(u), n + 6, n))
+        probes[:, :6] = np.stack([u + alpha[b, None], u, u + lift[b], v, 0.5 * (u + v), a], axis=1)
+        np.copyto(probes[:, 6:], a[:, None, :], where=_shrinking_mask(orders[b]))
+        vals = _risk_rows(space, rho, probes.reshape(-1, n)).reshape(probes.shape[:2])
+        r_shift, ru, r_upper, rv, r_mid, ra = vals[:, :6].T
+        worst.bump_rows("translation", np.abs(r_shift - ru - alpha[b]) / scale, lambda i: u[i])
+        worst.bump_rows("monotone", (ru - r_upper) / scale, lambda i: u[i])
+        worst.bump_rows("convex", (r_mid - 0.5 * (ru + rv)) / scale, lambda i: 0.5 * (u[i] + v[i]))
+        worst.bump_chain("lebesgue", ra, vals[:, 6:], probes[:, 6:], scale)
     items += [worst.item(k, _AXIOM_SLACK) for k in ("translation", "monotone", "convex", "lebesgue")]
     return RiskAxiomReport(tuple(items))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -209,16 +209,19 @@ def _scale_back(value: float, e: int) -> float:
     return max(math.ldexp(value, e), math.ulp(0.0)) if value > 0.0 else value
 
 
-def _shrinking_rows(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """x on a random nested sequence of shrinking supports, one row per
-    step: row j keeps the first n - 1 - j atoms of a shuffled order, so the
-    last row is zero.  Draws one shuffle from rng."""
-    n = x.size
-    alive = list(range(n))
-    rng.shuffle(alive)
-    rank = np.empty(n, dtype=int)
-    rank[alive] = np.arange(n)
-    return np.where(rank < np.arange(n - 1, -1, -1)[:, None], x, 0.0)
+def _shrinking_mask(order: np.ndarray) -> np.ndarray:
+    """n nested supports per shuffled order, (..., n) -> (..., n, n): support j keeps the first
+    n - 1 - j atoms of the order, the last none.  A mask, so a chain is copied in place."""
+    return np.argsort(order)[..., None, :] < np.arange(order.shape[-1] - 1, -1, -1)[:, None]
+
+
+_PROBE_BLOCK = 2**16  # probe entries (rows x atoms) that an axiom screen evaluates at once
+
+
+def _trial_blocks(trials: int, rows: int, n: int) -> list[slice]:
+    """Slices of consecutive trials (rows x n entries each): _PROBE_BLOCK entries at most, or one trial."""
+    step = max(1, _PROBE_BLOCK // (rows * n))
+    return [slice(k, k + step) for k in range(0, trials, step)]
 
 
 def _fmt(x: np.ndarray) -> str:
@@ -239,18 +242,18 @@ class _WorstCase:
         if val > self._worst.get(key, (self._floor, None))[0]:
             self._worst[key] = (val, witness)
 
-    def bump_chain(self, key: str, fx: float, vals: np.ndarray, rows: np.ndarray, scale: float) -> None:
-        """Growth of f along the rows of ``_shrinking_rows`` from x, where
-        f(x) = fx and f(rows) = vals, and then |f| at the last row, zero,
-        where f must vanish (order continuity).  Bumping only the chain's
-        first largest step keeps what bumping each step in turn would."""
-        prev, best, at = fx, -math.inf, 0
-        for j, cur in enumerate(vals.tolist()):
-            if (cur - prev) / scale > best:
-                best, at = (cur - prev) / scale, j
-            prev = cur
-        self.bump(key, best, rows[at].copy())  # a copy, so the witness keeps no n x n chain alive
-        self.bump(key, abs(prev) / scale, None)
+    def bump_rows(self, key: str, vals: np.ndarray, witness: Callable[[int], np.ndarray | None]) -> None:
+        """``bump(key, vals.flat[i], witness(i))`` for each i in turn: only the first largest non-NaN moves it."""
+        i = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
+        self.bump(key, float(vals.flat[i]), witness(i))
+
+    def bump_chain(self, key: str, fx: np.ndarray, vals: np.ndarray, rows: np.ndarray, scale: np.ndarray) -> None:
+        """For each trial k in turn, the growth of f from f(x) = fx[k] along its shrinking
+        chain rows[k], where f = vals[k], then |f| at the last row, zero, where f must vanish
+        (order continuity).  A witness is a copy, so that it keeps no block of chains alive."""
+        steps = np.column_stack([np.diff(vals, axis=1, prepend=fx[:, None]), np.abs(vals[:, -1])]) / scale[:, None]
+        m = vals.shape[1] + 1
+        self.bump_rows(key, steps, lambda i: rows[i // m, i % m].copy() if i % m < m - 1 else None)
 
     def item(self, key: str, slack: float) -> CheckItem:
         val, wit = self._worst.get(key, (self._floor, None))

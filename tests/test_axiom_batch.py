@@ -1,10 +1,12 @@
 """The batched axiom screens against the sequential loops they replace.
 
-``check_axioms`` and ``check_risk_axioms`` evaluate each trial's probes as one
-matrix, through ``Seminorm._value_rows`` and ``risk._risk_rows``.  The
-sequential loops below, one evaluation per probe, are the oracles: the same
-random stream, the same probes and the same judgement, so the reports must
-agree item by item.
+``check_axioms`` and ``check_risk_axioms`` draw all their trials first, then
+evaluate the probes of a block of trials as one matrix, through
+``Seminorm._value_rows`` and ``risk._risk_rows``; a block holds at most
+``space._PROBE_BLOCK`` probe entries, or one trial.  The sequential loops
+below, one evaluation per probe, are the oracles: the same random stream,
+the same probes and the same judgement, so the reports must agree item by
+item.
 """
 
 import math
@@ -14,13 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kothe.norms
 import kothe.risk
-from kothe import FiniteProbSpace, avar, check_axioms, check_risk_axioms, custom_risk, entropic
-from kothe.norms import AxiomReport, CustomSeminorm
+from kothe import (
+    FiniteProbSpace,
+    MusielakFamily,
+    avar,
+    check_axioms,
+    check_risk_axioms,
+    custom_risk,
+    entropic,
+    young_exponential,
+    young_power,
+)
+from kothe.norms import AxiomReport, CustomSeminorm, LpNorm, LuxemburgNorm
 from kothe.risk import _risk_arr, _risk_rows
-from kothe.space import CheckItem, _WorstCase
-from families import BUILTIN_FAMILIES
+from kothe.space import _PROBE_BLOCK, CheckItem, _shrinking_mask, _WorstCase
+from families import _YOUNG_TAB, BUILTIN_FAMILIES
 
 
 def _bump_shrinking(worst, key, f, x, fx, scale, rng):
@@ -162,6 +173,13 @@ def _space(n, uniform, seed):
     return FiniteProbSpace.uniform(n) if uniform else FiniteProbSpace(np.random.default_rng(seed).dirichlet(np.ones(n)))
 
 
+def _assert_blocks(sizes, n, trials, rows_per_trial):
+    """The batches of one screen: every probe row once, in blocks of at most
+    _PROBE_BLOCK entries unless a block is one trial."""
+    assert sum(rows for _, rows in sizes) == trials * rows_per_trial
+    assert all(m == n and rows * n <= max(_PROBE_BLOCK, rows_per_trial * n) for m, rows in sizes)
+
+
 def _guard_rows(monkeypatch, cls, sizes):
     """Wrap cls._value_rows to record (n, rows) of every batch it gets."""
     inner = cls._value_rows
@@ -176,22 +194,20 @@ def _guard_rows(monkeypatch, cls, sizes):
 
 @pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES) + sorted(CUSTOM_SEMINORMS))
 def test_check_axioms_matches_the_sequential_loop(family, monkeypatch):
-    sizes = []
     for n, uniform, seed, trials in CASES:
         space = _space(n, uniform, seed)
         make = BUILTIN_FAMILIES.get(family)
         spec = make(n) if make else CUSTOM_SEMINORMS[family]()
         want = _check_axioms_sequential(space, spec, trials, seed)
         _DIMS.clear()
+        sizes = []
         with monkeypatch.context() as m:
             _guard_rows(m, type(spec), sizes)
             got = check_axioms(space, spec, trials=trials, seed=seed)
         assert set(_DIMS) <= {1}  # callbacks only ever see 1-D arrays
         _assert_same_items(got.items, want.items)
         assert _close(got.c_lower, want.c_lower) and _close(got.c_upper, want.c_upper)
-    # one batch per trial, never more than n + 7 rows
-    assert len(sizes) == sum(c[3] for c in CASES)
-    assert all(rows <= n + 7 for n, rows in sizes)
+        _assert_blocks(sizes, n, trials, n + 7)
 
 
 def test_failing_custom_seminorms_report_witnesses():
@@ -223,16 +239,55 @@ def test_check_risk_axioms_matches_the_sequential_loop(risk, monkeypatch):
         rho = RISKS[risk]()
         want = _check_risk_axioms_sequential(space, rho, trials, seed)
         _DIMS.clear()
+        sizes.clear()
         got = check_risk_axioms(space, rho, trials=trials, seed=seed)
         assert set(_DIMS) <= {1}
         _assert_same_items(got.items, want)
         failed |= {i.name for i in got.items if not i.passed}
-    assert len(sizes) == sum(c[3] for c in CASES)
-    assert all(rows <= n + 7 for n, rows in sizes)
+        _assert_blocks(sizes, n, trials, n + 6)
     assert (not failed) == (risk in ("avar_small", "avar_half", "avar_one", "entropic", "custom_mean"))
 
 
-@pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
+def test_bump_rows_keeps_the_first_strict_maximum_and_never_nan():
+    # the sequential rule: a value moves the worst case only when it exceeds it
+    worst = _WorstCase(0.0)
+    worst.bump_rows("k", np.array([np.nan, 1.0, 2.0, 2.0]), lambda i: np.array([float(i)]))
+    worst.bump_rows("k", np.array([2.0, np.nan]), lambda i: np.array([10.0 + i]))
+    worst.bump_rows("k", np.array([np.nan, np.nan]), lambda i: None)
+    item = worst.item("k", 0.5)
+    assert (item.worst, item.witness) == (2.0, "[2.]")
+
+
+def test_large_spaces_take_one_trial_per_block(monkeypatch):
+    # at n = 1000 one trial's probes exceed _PROBE_BLOCK, so two trials take
+    # two batches, and the reports still match the sequential loops
+    space = _space(1000, False, 4)
+    sizes = []
+    with monkeypatch.context() as m:
+        _guard_rows(m, LpNorm, sizes)
+        got = check_axioms(space, LpNorm(2.0), trials=2, seed=4)
+    assert sizes == [(1000, 1007)] * 2
+    want = _check_axioms_sequential(space, LpNorm(2.0), 2, 4)
+    _assert_same_items(got.items, want.items)
+    sizes = []
+
+    def guarded(space, rho, X):
+        sizes.append((space.n_atoms, X.shape[0]))
+        return _risk_rows(space, rho, X)
+
+    monkeypatch.setattr(kothe.risk, "_risk_rows", guarded)
+    got = check_risk_axioms(space, avar(0.3), trials=2, seed=4)
+    assert sizes == [(1000, 1006)] * 2
+    _assert_same_items(got.items, _check_risk_axioms_sequential(space, avar(0.3), 2, 4))
+
+
+def _mixed_power_luxemburg(n):
+    # a Musielak power family with exponents in (1, 4], one per atom
+    exponents = 4.0 - 3.0 * np.random.default_rng(n).random(n)
+    return LuxemburgNorm(MusielakFamily([young_power(float(p)) for p in exponents]))
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES) + ["luxemburg_mixed_power"])
 @settings(max_examples=12, deadline=None)
 @given(
     n=st.integers(1, 10),
@@ -243,9 +298,23 @@ def test_check_risk_axioms_matches_the_sequential_loop(risk, monkeypatch):
 def test_value_rows_matches_value_arr(family, n, uniform, seed, scale):
     rng = np.random.default_rng(seed)
     space = FiniteProbSpace.uniform(n) if uniform else FiniteProbSpace(rng.dirichlet(np.ones(n)))
-    spec = BUILTIN_FAMILIES[family](n)
-    # normal rows, a zero row, and integer rows whose ties the sorts must break
-    X = np.vstack([rng.standard_normal((4, n)), np.zeros(n), np.round(2.0 * rng.standard_normal((4, n)))]) * scale
+    spec = BUILTIN_FAMILIES[family](n) if family in BUILTIN_FAMILIES else _mixed_power_luxemburg(n)
+    # normal rows, a zero row, and integer rows whose ties the sorts must break;
+    # then rows with exact zeros, as the axiom probes have: the shrinking
+    # chain of a normal row, an indicator, and rows that share their count
+    # of zeros
+    normal = rng.standard_normal((4, n))
+    half = rng.permuted(np.tile(np.arange(n) < (n + 1) // 2, (4, 1)), axis=1)
+    X = np.vstack(
+        [
+            normal,
+            np.zeros(n),
+            np.round(2.0 * rng.standard_normal((4, n))),
+            np.where(_shrinking_mask(rng.permutation(n)), normal[0], 0.0),
+            rng.permutation(np.arange(n) < rng.integers(1, n + 1)),
+            rng.standard_normal((4, n)) * half,
+        ]
+    ) * scale
     got = spec._value_rows(space, X)
     assert got.shape == (X.shape[0],)
     for row, value in zip(X, got):
@@ -267,16 +336,25 @@ def test_risk_rows_matches_risk_arr(risk, n, uniform, seed):
 
 
 def test_builtin_row_evaluators_are_vectorized(monkeypatch):
-    # Lp, Marcinkiewicz, Lorentz and the avar risk norm never fall back to a
-    # loop over _value_arr; the rest do, so callbacks keep 1-D arrays
+    # Lp, Marcinkiewicz, Lorentz, power Luxemburg (on rows that share their
+    # count of nonzero atoms, as these do) and the avar risk norm never fall
+    # back to a loop over _value_arr; the rest do, so callbacks keep 1-D
+    # arrays, and Luxemburg of x, e^x - 1 and tabulated Phi keep the scalar
+    # gauges, whose stop the zeros of a row can move in the last bits
     def refuse(self, space, x):
         raise AssertionError(f"{type(self).__name__} looped over rows")
 
     X = np.random.default_rng(1).standard_normal((15, 8))
     space = FiniteProbSpace.uniform(8)
-    for family in ("L1", "L2", "Linf", "marcinkiewicz_sqrt", "lorentz_tabulated", "avar"):
+    for family in ("L1", "L2", "Linf", "marcinkiewicz_sqrt", "lorentz_tabulated", "luxemburg_power", "avar"):
         spec = BUILTIN_FAMILIES[family](8)
         with monkeypatch.context() as m:
             m.setattr(type(spec), "_value_arr", refuse)
             spec._value_rows(space, X)
-    assert kothe.norms.LuxemburgNorm._value_rows is kothe.norms.Seminorm._value_rows
+    for phi in (young_power(1.0), young_exponential(), _YOUNG_TAB):
+        calls = []
+        spec = LuxemburgNorm(MusielakFamily.constant(phi, 8))
+        with monkeypatch.context() as m:
+            m.setattr(LuxemburgNorm, "_value_arr", lambda self, space, x: calls.append(x) or 1.0)
+            spec._value_rows(space, X)
+        assert len(calls) == len(X)
