@@ -163,9 +163,8 @@ class Seminorm(abc.ABC):
     relative width ``_optim._GAUGE_REL``.  By default ``_value_rows`` calls
     ``_value_arr`` once per row, so a callback only ever sees 1-D arrays;
     Lp, Marcinkiewicz, Lorentz, Luxemburg of powers p > 1 and the avar risk
-    norm evaluate all rows at once with the arithmetic of ``_value_arr``.
-    The axiom checker sends it whole trials, at most 2**16 entries a block
-    unless one trial is larger (``space._trial_blocks``).
+    norm evaluate all rows at once with the arithmetic of ``_value_arr``; the
+    axiom checker sends blocks of whole trials (``space._trial_blocks``).
 
     ``rearrangement_invariant`` promises an r.i. norm (Bennett & Sharpley
     1988, ch. 2), which averaging over atom sets does not raise, not just a
@@ -299,8 +298,8 @@ class LuxemburgNorm(Seminorm):
         modular = self.smooth_modular(space)
         if modular is None or modular.kind != "power":  # x, e^x - 1 and tabulated go row by row
             return super()._value_rows(space, X)
-        # _value_arr's masked gauge, one Newton per count of nonzero atoms, so each
-        # row sums its terms in _value_arr's order; a count of its own goes alone
+        # _value_arr's masked gauge, one Newton per count of nonzero atoms, in _value_arr's order;
+        # a count of its own (each chain step from n = 178 on) takes the scalar gauge, 2-3x faster
         counts, out = np.count_nonzero(X, axis=1), np.zeros(len(X))
         size = np.bincount(counts)  # rows per count
         for i in np.flatnonzero(size[counts] == 1):
@@ -740,16 +739,17 @@ def check_axioms(
         probes[:, -1] = ind[b]
         vals = spec._value_rows(space, probes.reshape(-1, n)).reshape(probes.shape[:2])
         pu, pv, p_neg, p_alpha, p_sum, p_dom = vals[:, :6].T
-        scale = np.fmax(1.0, np.fmax(np.abs(pu), np.abs(pv)))  # max(1, |pu|, |pv|), blind to NaN
-        worst.bump_rows("nonnegative", -pu / scale, lambda i: u[i])
-        worst.bump_rows("symmetry", np.abs(p_neg - pu) / scale, lambda i: u[i])
-        worst.bump_rows("homogeneity", np.abs(p_alpha - a * pu) / (a * scale), lambda i: u[i])
-        worst.bump_rows("subadditivity", (p_sum - pu - pv) / scale, lambda i: u[i] + v[i])
-        worst.bump_rows("solid_monotone", (p_dom - pu) / scale, lambda i: D[b][i])
-        l1, linf, ok = np.vecdot(np.abs(u), space.probs), np.abs(u).max(axis=1), np.isfinite(pu)
-        c_lower = min([c_lower, *(pu / l1)[ok & (l1 > 0)].tolist()])
-        c_upper = max([c_upper, *(pu / linf)[ok & (linf > 0)].tolist()])
-        worst.bump_chain("order_continuity", pu, vals[:, 6:-1], probes[:, 6:-1], scale)
+        with np.errstate(all="ignore"):  # silent, as Python floats are: inf - inf is NaN
+            scale = np.fmax(1.0, np.fmax(np.abs(pu), np.abs(pv)))  # max(1, |pu|, |pv|), blind to NaN
+            worst.bump_rows("nonnegative", -pu / scale, lambda i: u[i])
+            worst.bump_rows("symmetry", np.abs(p_neg - pu) / scale, lambda i: u[i])
+            worst.bump_rows("homogeneity", np.abs(p_alpha - a * pu) / (a * scale), lambda i: u[i])
+            worst.bump_rows("subadditivity", (p_sum - pu - pv) / scale, lambda i: u[i] + v[i])
+            worst.bump_rows("solid_monotone", (p_dom - pu) / scale, lambda i: D[b][i])
+            l1, linf, ok = np.vecdot(np.abs(u), space.probs), np.abs(u).max(axis=1), np.isfinite(pu)
+            c_lower = min([c_lower, *(pu / l1)[ok & (l1 > 0)].tolist()])
+            c_upper = max([c_upper, *(pu / linf)[ok & (linf > 0)].tolist()])
+            worst.bump_chain("order_continuity", pu, vals[:, 6:-1], probes[:, 6:-1], scale)
         indicator_ok = indicator_ok and bool(np.isfinite(vals[:, -1]).all())
 
     items = [worst.item(k, _AXIOM_SLACK) for k in ("nonnegative", "symmetry", "homogeneity", "subadditivity")]

@@ -481,14 +481,13 @@ def check_risk_axioms(
     zero_gap = abs(_risk_arr(space, rho, np.zeros(n)))
     items = [CheckItem("zero", zero_gap <= _AXIOM_SLACK, zero_gap)]
     U, V, lift = np.empty((3, trials, n))
-    alpha, orders = np.empty(trials), np.tile(np.arange(n), (trials, 1))
+    alpha, orders, worst = np.empty(trials), np.tile(np.arange(n), (trials, 1)), _WorstCase(0.0)
     for k in range(trials):
         U[k] = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
         V[k] = rng.standard_normal(n) * 10 ** rng.uniform(-1.0, 1.0)
         alpha[k] = rng.standard_normal()
         lift[k] = np.abs(rng.standard_normal(n))
         rng.shuffle(orders[k])
-    worst = _WorstCase(0.0)
     for b in _trial_blocks(trials, n + 6, n):
         u, v, a = U[b], V[b], np.abs(U[b])
         scale = np.maximum(1.0, np.maximum(a.max(axis=1), np.abs(v).max(axis=1)))
@@ -498,9 +497,10 @@ def check_risk_axioms(
         np.copyto(probes[:, 6:], a[:, None, :], where=_shrinking_mask(orders[b]))
         vals = _risk_rows(space, rho, probes.reshape(-1, n)).reshape(probes.shape[:2])
         r_shift, ru, r_upper, rv, r_mid, ra = vals[:, :6].T
-        worst.bump_rows("translation", np.abs(r_shift - ru - alpha[b]) / scale, lambda i: u[i])
-        worst.bump_rows("monotone", (ru - r_upper) / scale, lambda i: u[i])
-        worst.bump_rows("convex", (r_mid - 0.5 * (ru + rv)) / scale, lambda i: 0.5 * (u[i] + v[i]))
-        worst.bump_chain("lebesgue", ra, vals[:, 6:], probes[:, 6:], scale)
+        with np.errstate(all="ignore"):  # silent, as Python floats are: inf - inf is NaN
+            worst.bump_rows("translation", np.abs(r_shift - ru - alpha[b]) / scale, lambda i: u[i])
+            worst.bump_rows("monotone", (ru - r_upper) / scale, lambda i: u[i])
+            worst.bump_rows("convex", (r_mid - 0.5 * (ru + rv)) / scale, lambda i: 0.5 * (u[i] + v[i]))
+            worst.bump_chain("lebesgue", ra, vals[:, 6:], probes[:, 6:], scale)
     items += [worst.item(k, _AXIOM_SLACK) for k in ("translation", "monotone", "convex", "lebesgue")]
     return RiskAxiomReport(tuple(items))

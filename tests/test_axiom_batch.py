@@ -146,7 +146,8 @@ def _record(fn):
 # are compared too: the signed mean (the CLI's negative control), the count of
 # zero atoms off the zero vector (it grows along every shrinking chain in
 # equal steps, so the first step is the witness), an offset sup norm (nonzero
-# at zero) and a norm that is infinite on 0/1 vectors
+# at zero), a norm that is infinite on 0/1 vectors and one that is infinite
+# off zero (its worst cases are inf - inf, NaN, as for Python floats)
 CUSTOM_SEMINORMS = {
     "broken_signed_mean": lambda: CustomSeminorm(_record(lambda sp, x: float(np.dot(sp.probs, x))), name="signed-mean"),
     "zero_count": lambda: CustomSeminorm(_record(lambda sp, x: float(np.count_nonzero(x == 0.0) if np.any(x) else 0))),
@@ -154,6 +155,7 @@ CUSTOM_SEMINORMS = {
     "infinite_on_indicators": lambda: CustomSeminorm(
         _record(lambda sp, x: math.inf if np.all((x == 0.0) | (x == 1.0)) else float(np.abs(x).max()))
     ),
+    "infinite_off_zero": lambda: CustomSeminorm(_record(lambda sp, x: math.inf if np.any(x) else 0.0)),
 }
 RISKS = {
     "avar_small": lambda: avar(0.05),
@@ -165,6 +167,9 @@ RISKS = {
     "custom_offset_max": lambda: custom_risk(_record(lambda sp, x: float(np.max(x)) + 1.0)),
     "custom_zero_count": lambda: custom_risk(_record(lambda sp, x: float(np.count_nonzero(x == 0.0)))),
 }
+# the screen also takes a risk that is infinite off zero: its worst cases are
+# inf - inf, NaN, which never counts, so it passes, as in the sequential loop
+SCREEN_RISKS = {**RISKS, "custom_infinite": lambda: custom_risk(_record(lambda sp, x: math.inf if np.any(x) else 0.0))}
 # (n, uniform, seed, trials)
 CASES = [(1, True, 0, 3), (2, False, 5, 1), (5, True, 3, 9), (7, False, 11, 6), (9, True, 29, 4)]
 
@@ -174,8 +179,10 @@ def _space(n, uniform, seed):
 
 
 def _assert_blocks(sizes, n, trials, rows_per_trial):
-    """The batches of one screen: every probe row once, in blocks of at most
-    _PROBE_BLOCK entries unless a block is one trial."""
+    """The batches of one screen: every probe row once, in as few blocks as
+    fit _PROBE_BLOCK entries, unless a block is one trial."""
+    per_block = max(1, _PROBE_BLOCK // (rows_per_trial * n))  # whole trials that fit in one block
+    assert len(sizes) == -(-trials // per_block)  # one batch for all trials at small n
     assert sum(rows for _, rows in sizes) == trials * rows_per_trial
     assert all(m == n and rows * n <= max(_PROBE_BLOCK, rows_per_trial * n) for m, rows in sizes)
 
@@ -223,7 +230,7 @@ def test_failing_custom_seminorms_report_witnesses():
     assert "decomposable" in failures["infinite_on_indicators"]
 
 
-@pytest.mark.parametrize("risk", sorted(RISKS))
+@pytest.mark.parametrize("risk", sorted(SCREEN_RISKS))
 def test_check_risk_axioms_matches_the_sequential_loop(risk, monkeypatch):
     sizes = []
 
@@ -236,7 +243,7 @@ def test_check_risk_axioms_matches_the_sequential_loop(risk, monkeypatch):
     failed = set()
     for n, uniform, seed, trials in CASES:
         space = _space(n, uniform, seed)
-        rho = RISKS[risk]()
+        rho = SCREEN_RISKS[risk]()
         want = _check_risk_axioms_sequential(space, rho, trials, seed)
         _DIMS.clear()
         sizes.clear()
@@ -245,7 +252,7 @@ def test_check_risk_axioms_matches_the_sequential_loop(risk, monkeypatch):
         _assert_same_items(got.items, want)
         failed |= {i.name for i in got.items if not i.passed}
         _assert_blocks(sizes, n, trials, n + 6)
-    assert (not failed) == (risk in ("avar_small", "avar_half", "avar_one", "entropic", "custom_mean"))
+    assert (not failed) == (risk in ("avar_small", "avar_half", "avar_one", "entropic", "custom_mean", "custom_infinite"))
 
 
 def test_bump_rows_keeps_the_first_strict_maximum_and_never_nan():
